@@ -1,9 +1,10 @@
 """E12 -- Fast-path execution pipeline speedup.
 
-The fused fetch/decode/dispatch interpreter (:meth:`repro.cpu.core.Cpu.run_fast`)
-plus batched hash absorption must make the simulate->measure hot path at
-least 2x faster in instructions/sec than the legacy per-instruction loop on
-the E1 overhead workloads -- while staying byte-identical: same measurement
+The fused fetch/decode/dispatch interpreter (``engine="fast"``,
+:meth:`repro.cpu.core.Cpu.run_fast`) plus batched hash absorption must make
+the simulate->measure hot path at least 2x faster in instructions/sec than
+the legacy per-instruction loop (``engine="legacy"``) on the E1 overhead
+workloads -- while staying byte-identical: same measurement
 ``A``, same metadata ``L``, same verifier verdict, for every attestation
 scheme.  This experiment records both the per-workload and the per-scheme
 aggregate speedups.
@@ -24,8 +25,8 @@ from repro.workloads import all_workloads, get_workload
 REPEATS = 3
 
 
-def _timed_measurement(scheme, program, inputs, fast):
-    config = CpuConfig(fast_path=fast, collect_trace=False)
+def _timed_measurement(scheme, program, inputs, engine):
+    config = CpuConfig(engine=engine, collect_trace=False)
     best = None
     result = measured = None
     for _ in range(REPEATS):
@@ -37,10 +38,10 @@ def _timed_measurement(scheme, program, inputs, fast):
     return result, measured, best
 
 
-def _protocol_verdict(scheme_name, workload, fast):
-    """One full challenge-response round on the given pipeline."""
+def _protocol_verdict(scheme_name, workload, engine):
+    """One full challenge-response round on the given engine."""
     program = workload.build()
-    cpu_config = CpuConfig(fast_path=fast, collect_trace=False)
+    cpu_config = CpuConfig(engine=engine, collect_trace=False)
     prover = Prover({workload.name: program}, cpu_config=cpu_config)
     verifier = Verifier(cpu_config=cpu_config)
     verifier.register_program(workload.name, program)
@@ -58,7 +59,7 @@ def test_e12_fastpath_speedup(benchmark, report_writer):
     lofat = get_scheme("lofat")
     benchmark(lambda: lofat.measure_execution(
         pump_program, list(pump.inputs),
-        cpu_config=CpuConfig(collect_trace=False)))
+        cpu_config=CpuConfig(engine="fast", collect_trace=False)))
 
     workloads = all_workloads()  # the E1 overhead workload suite
     rows = []
@@ -72,9 +73,9 @@ def test_e12_fastpath_speedup(benchmark, report_writer):
             program = workload.build()
             inputs = list(workload.inputs)
             legacy_result, legacy, legacy_s = _timed_measurement(
-                scheme, program, inputs, fast=False)
+                scheme, program, inputs, "legacy")
             fast_result, fast, fast_s = _timed_measurement(
-                scheme, program, inputs, fast=True)
+                scheme, program, inputs, "fast")
 
             # Correctness oracle: the fast path changes no observable bit.
             assert fast.measurement == legacy.measurement, \
@@ -98,8 +99,8 @@ def test_e12_fastpath_speedup(benchmark, report_writer):
 
         # Verifier verdicts are pipeline-independent: a fast-path report
         # verifies, and so does a legacy one, under the same scheme.
-        assert _protocol_verdict(scheme_name, pump, fast=True).accepted
-        assert _protocol_verdict(scheme_name, pump, fast=False).accepted
+        assert _protocol_verdict(scheme_name, pump, "fast").accepted
+        assert _protocol_verdict(scheme_name, pump, "legacy").accepted
 
         aggregate_speedup = total_legacy / total_fast
         aggregate_rows.append({
@@ -136,6 +137,7 @@ def test_e12_fastpath_speedup(benchmark, report_writer):
         assert row["speedup"] >= 2.0, row
 
 
-def test_e12_fast_path_is_default(report_writer):
-    """The fast path is opt-out: a default CpuConfig uses it."""
-    assert CpuConfig().fast_path is True
+def test_e12_compiled_is_default(report_writer):
+    """A default CpuConfig runs the compiled engine; the fast engine timed
+    above is what it delegates to for runs it cannot take."""
+    assert CpuConfig().engine == "compiled"

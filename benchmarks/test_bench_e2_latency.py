@@ -20,7 +20,7 @@ from repro.workloads import all_workloads, get_workload
 #: (legacy loop) so pair arrival times match the hardware's per-cycle snoop
 #: exactly.  The batched fast path is digest-identical but coarsens arrival
 #: timing, which would inflate the transient buffer-occupancy numbers.
-_CYCLE_FIDELITY = CpuConfig(fast_path=False)
+_CYCLE_FIDELITY = CpuConfig(engine="legacy")
 
 
 def _attest(workload, config=None):

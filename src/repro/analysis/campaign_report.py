@@ -27,7 +27,7 @@ def format_campaign_summary(result) -> str:
     summary.pop("workers")
     pipeline = summary.pop("pipeline", "capture")
     lines.append("  execution path   : %s, %s pipeline"
-                 % ("fast" if summary.pop("fast_path", True) else "legacy",
+                 % (summary.pop("engine"),
                     "capture/attest" if pipeline == "capture" else "live"))
     lines.append("  jobs             : %d" % summary.pop("jobs"))
     lines.append("  all as expected  : %s" % summary.pop("ok"))

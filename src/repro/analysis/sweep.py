@@ -62,7 +62,7 @@ def buffer_depth_sweep(
         # Cycle-model experiment: observe per record so pair arrival times
         # match the hardware's per-cycle snoop (the batched fast path is
         # digest-identical but coarsens the transient occupancy numbers).
-        cpu_config = CpuConfig(fast_path=False)
+        cpu_config = CpuConfig(engine="legacy")
     rows: List[Dict[str, object]] = []
     for workload in workloads:
         program = workload.build()
@@ -145,7 +145,7 @@ def hash_density_sweep(
     if cpu_config is None:
         # Cycle-model experiment: per-record observation for exact arrival
         # timing (see buffer_depth_sweep).
-        cpu_config = CpuConfig(fast_path=False)
+        cpu_config = CpuConfig(engine="legacy")
     rows: List[Dict[str, object]] = []
     for workload in workloads:
         program = workload.build()

@@ -16,13 +16,12 @@ the CLI exposes the most common interactions without writing any Python:
   show that the verifier rejects the attacked execution.
 * ``repro overhead`` -- print the E1 LO-FAT vs C-FLAT overhead table.
 * ``repro area`` -- print the E3 FPGA resource estimate and sweep.
-* ``repro fastpath [--workload NAME]`` -- verify that the fused fast-path
-  interpreter is enabled by default and that the fast and compiled engines
-  both produce byte-identical measurements to the legacy per-instruction
-  loop, and print the per-scheme instructions/sec speedups (the CI smoke
-  check for E12/E17).  Execution-bearing commands take ``--engine
-  {legacy,fast,compiled}``; ``--legacy-loop`` is a deprecated alias for
-  ``--engine legacy``.
+* ``repro fastpath [--workload NAME]`` -- verify that the compiled engine
+  is the default and that the fast and compiled engines both produce
+  byte-identical measurements to the legacy per-instruction loop, and print
+  the per-scheme instructions/sec speedups (the CI smoke check for
+  E12/E17).  Execution-bearing commands take ``--engine
+  {legacy,fast,compiled}`` (default: compiled).
 * ``repro campaign`` -- run an attestation campaign (schemes x workloads x
   configs x attacks) through the parallel campaign service, e.g.
   ``repro campaign --experiment all --workers 4`` or
@@ -121,22 +120,10 @@ def _resolve_inputs(args: argparse.Namespace, workload) -> List[int]:
     return list(workload.inputs) if args.inputs is None else list(args.inputs)
 
 
-def _cli_engine(args: argparse.Namespace) -> Optional[str]:
-    """The execution engine selected by the CLI flags, or None for default.
-
-    ``--legacy-loop`` is the deprecated spelling of ``--engine legacy``;
-    an explicit ``--engine`` wins when both are given.
-    """
-    engine = getattr(args, "engine", None)
-    if engine is None and getattr(args, "legacy_loop", False):
-        return "legacy"
-    return engine
-
-
 def _cpu_config(args: argparse.Namespace) -> CpuConfig:
     """The core-model configuration implied by the CLI flags."""
-    engine = _cli_engine(args)
-    return CpuConfig(fast_path=engine != "legacy", engine=engine)
+    engine = getattr(args, "engine", None)
+    return CpuConfig() if engine is None else CpuConfig(engine=engine)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -272,7 +259,7 @@ def _cmd_fastpath(args: argparse.Namespace) -> int:
     program = workload.build()
     inputs = list(workload.inputs)
 
-    default_engine = CpuConfig().resolved_engine()
+    default_engine = CpuConfig().engine
     print("default engine: %s" % default_engine)
     all_identical = True
 
@@ -304,7 +291,7 @@ def _cmd_fastpath(args: argparse.Namespace) -> int:
                  rates["compiled"],
                  rates["compiled"] / legacy_rate if legacy_rate else 0.0))
 
-    ok = default_engine == "fast" and all_identical
+    ok = default_engine == "compiled" and all_identical
     print("fastpath check: %s" % ("OK" if ok else "FAILED"))
     return 0 if ok else 1
 
@@ -328,9 +315,8 @@ def _load_campaign_spec(args: argparse.Namespace) -> CampaignSpec:
     if args.scheme is not None:
         spec.schemes = [name.strip() for name in args.scheme.split(",")
                         if name.strip()]
-    engine = _cli_engine(args)
-    if engine is not None:
-        spec.engine = engine
+    if args.engine is not None:
+        spec.engine = args.engine
     spec.validate()
     return spec
 
@@ -1045,13 +1031,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_engine_options(target, what="CPU executions"):
         target.add_argument(
             "--engine", default=None, choices=["legacy", "fast", "compiled"],
-            help="execution engine for %s: the per-instruction legacy loop, "
-                 "the fused fast path (default) or the superblock trace "
-                 "compiler" % what,
-        )
-        target.add_argument(
-            "--legacy-loop", action="store_true",
-            help="deprecated alias for --engine legacy",
+            help="execution engine for %s: the superblock trace compiler "
+                 "(compiled, the default), the fused interpreter (fast) or "
+                 "the per-instruction loop (legacy)" % what,
         )
 
     subparsers.add_parser("list", help="list workloads and attack scenarios")
@@ -1083,7 +1065,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     fastpath = subparsers.add_parser(
         "fastpath",
-        help="check fast-path/legacy digest equality and print the speedup",
+        help="check the compiled default and engine digest equality, and "
+             "print the speedups",
     )
     fastpath.add_argument(
         "--workload", default="syringe_pump",

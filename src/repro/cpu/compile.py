@@ -37,13 +37,12 @@ still materialized per edge with exact indices/cycles, so captured traces,
 TraceStore signatures and replayed reports stay byte-identical to the other
 engines.
 
-The compiler *declines* a program (forcing the ``run_fast`` fallback) when
-any non-return indirect jump is unresolved under the interval analysis
-(:mod:`repro.dataflow`): such a jalr may land at an address the static
-block map cannot anticipate mid-stride, and the equivalence-pinned
-interpreter is the safe engine for it.  Resolved indirects and canonical
-returns are fine -- their dynamic targets are block leaders, which the
-trampoline looks up (or lazily compiles) at run time.
+Every program compiles.  Indirect jumps and returns end their block; the
+trampoline looks up each runtime target in the plan, or compiles the
+straight line from a stray entry point on first use
+(:meth:`CompiledProgram.compile_block_at`).  A target that is not an
+instruction address delegates the rest of the run to ``run_fast``, which
+raises the same fetch fault as the legacy loop.
 """
 
 from __future__ import annotations
@@ -168,8 +167,8 @@ class CompiledProgram:
     def compile_block_at(self, pc: int) -> Optional[CompiledBlock]:
         """Lazily compile a single block starting at a stray ``pc``.
 
-        A resolved indirect transfer normally lands on a block leader, but
-        nothing forces it to: scan the straight line from ``pc`` to the
+        An indirect transfer normally lands on a block leader, but nothing
+        forces it to: scan the straight line from ``pc`` to the
         first control-flow instruction and compile that suffix as a
         one-member chain.  Returns None when ``pc`` is not an instruction
         address or the scan runs off the program -- the trampoline then
@@ -566,24 +565,8 @@ def _compile_chain(
 # ---------------------------------------------------------------------------
 
 
-def _build_plan(program: Program, costs: CostKey) -> Optional[CompiledProgram]:
-    """Compile every superblock of ``program``, or decline (None).
-
-    The decline check consults the interval analysis once per digest: any
-    non-return indirect jump whose target set stayed unresolved makes the
-    whole program ineligible -- its jalr may stride into the middle of a
-    block the static map cannot anticipate.
-    """
-    from repro.dataflow.program import analyze_program
-
-    analysis = analyze_program(program)
-    indirect_targets = analysis.intervals.indirect_targets
-    for instr in program.instructions:
-        if instr.is_indirect_jump and not instr.is_return:
-            resolution = indirect_targets.get(instr.address or 0)
-            if resolution is None or not resolution[1]:
-                return None
-
+def _build_plan(program: Program, costs: CostKey) -> CompiledProgram:
+    """Compile every superblock of ``program``."""
     plan = CompiledProgram(program, costs)
     for superblock in form_superblocks(split_basic_blocks(program)):
         plan.blocks[superblock.head] = _compile_chain(
@@ -605,13 +588,11 @@ class CompiledProgramCache:
     requests for the same key are single-flighted -- one thread compiles
     while the others wait on an event and then read the shared plan, so a
     campaign fanning N workers over one digest compiles once, not N times.
-    Declined programs are cached as None so the interval analysis is not
-    re-consulted per run.
     """
 
     def __init__(self, max_programs: int = 64) -> None:
         self.max_programs = max_programs
-        self._plans: Dict[Tuple[str, CostKey], Optional[CompiledProgram]] = {}
+        self._plans: Dict[Tuple[str, CostKey], CompiledProgram] = {}
         self._inflight: Dict[Tuple[str, CostKey], threading.Event] = {}
         self._lock = threading.Lock()
         #: Number of plan builds performed (tests assert single-flight).
@@ -627,15 +608,17 @@ class CompiledProgramCache:
             config.data_region_size,
         )
 
-    def plan_for(self, program: Program, config) -> Optional[CompiledProgram]:
-        """The compiled plan for ``program`` under ``config`` (or None)."""
+    def plan_for(self, program: Program, config) -> CompiledProgram:
+        """The compiled plan for ``program`` under ``config``."""
         key = (program.digest, self.cost_key(config))
         plans = self._plans
-        if key in plans:
-            return plans[key]
+        plan = plans.get(key)
+        if plan is not None:
+            return plan
         with self._lock:
-            if key in plans:
-                return plans[key]
+            plan = plans.get(key)
+            if plan is not None:
+                return plan
             event = self._inflight.get(key)
             if event is None:
                 event = threading.Event()
@@ -645,9 +628,9 @@ class CompiledProgramCache:
                 builder = False
         if not builder:
             event.wait()
-            # A concurrent clear-on-full can evict the fresh plan before we
-            # read it; treat that as a (rare, harmless) decline for this run.
-            return self._plans.get(key)
+            # A failed build or a concurrent clear-on-full can leave no plan
+            # behind: ask again (and build it, or re-raise the failure).
+            return self.plan_for(program, config)
         try:
             plan = _build_plan(program, key[1])
         except BaseException:

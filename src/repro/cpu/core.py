@@ -70,40 +70,28 @@ class CpuConfig:
     #: and stream records straight to the monitors, keeping only summary
     #: counters in memory.
     collect_trace: bool = True
-    #: Run the fused fetch/decode/dispatch inner loop (:meth:`Cpu.run_fast`)
-    #: instead of the per-instruction :meth:`Cpu.step` loop.  The fast path is
-    #: architecturally identical -- same registers, cycles, outputs, trace
-    #: records and attestation measurements -- and only engages when every
-    #: attached monitor supports batched observation; set this to False to
-    #: force the legacy loop (the e12 benchmark measures the difference).
-    fast_path: bool = True
     #: Number of control-flow records buffered before a batch is flushed to
     #: the attached monitors on the fast path.
     monitor_batch_size: int = 256
-    #: Execution engine: ``"legacy"`` (per-instruction :meth:`Cpu.step`
-    #: loop), ``"fast"`` (fused interpreter, :meth:`Cpu.run_fast`) or
-    #: ``"compiled"`` (superblock trace compilation,
-    #: :meth:`Cpu.run_compiled`).  ``None`` resolves from :attr:`fast_path`
-    #: for backward compatibility.  The compiled engine transparently falls
-    #: back to ``run_fast`` when the program or run shape is ineligible
-    #: (unresolved indirect jumps, collected traces, pre-hooks).
-    engine: Optional[str] = None
+    #: Execution engine: ``"compiled"`` (superblock trace compilation,
+    #: :meth:`Cpu.run_compiled`), ``"fast"`` (fused interpreter,
+    #: :meth:`Cpu.run_fast`) or ``"legacy"`` (per-instruction
+    #: :meth:`Cpu.step` loop, kept as the test oracle and for cycle-model
+    #: fidelity).  All three are architecturally identical.  A compiled run
+    #: delegates to ``run_fast`` when the run shape needs per-instruction
+    #: delivery (collected traces, pre-hooks) -- see docs/EXECUTION.md.
+    engine: str = "compiled"
     #: Clock frequency of the core in MHz (Pulpino/LO-FAT run at 80 MHz on
     #: the Zedboard prototype); used only to convert cycles to wall time in
     #: reports.
     clock_mhz: float = 80.0
 
-    def resolved_engine(self) -> str:
-        """The effective engine name; validates :attr:`engine`."""
-        engine = self.engine
-        if engine is None:
-            return "fast" if self.fast_path else "legacy"
-        if engine not in ("legacy", "fast", "compiled"):
+    def __post_init__(self) -> None:
+        if self.engine not in ("legacy", "fast", "compiled"):
             raise ValueError(
                 "unknown execution engine %r (expected legacy, fast or"
-                " compiled)" % (engine,)
+                " compiled)" % (self.engine,)
             )
-        return engine
 
 
 @dataclass
@@ -243,13 +231,14 @@ class Cpu:
     def run(self) -> ExecutionResult:
         """Run the program to completion and return the execution result.
 
-        Dispatches by :meth:`CpuConfig.resolved_engine`: the compiled
-        engine (:meth:`run_compiled`) when requested and eligible, else the
-        fused fast path (:meth:`run_fast`) when every attached monitor
-        supports batched observation, else the legacy per-instruction
-        :meth:`step` loop.  All paths are architecturally identical.
+        Dispatches by :attr:`CpuConfig.engine`: the compiled engine
+        (:meth:`run_compiled`) unless the run needs per-instruction
+        delivery (a collected trace or pre-hooks), else the fused fast path
+        (:meth:`run_fast`) when every attached monitor supports batched
+        observation, else the legacy per-instruction :meth:`step` loop.
+        All paths are architecturally identical.
         """
-        engine = self.config.resolved_engine()
+        engine = self.config.engine
         if engine != "legacy" and all(self._batch_monitors):
             if (
                 engine == "compiled"
@@ -259,11 +248,10 @@ class Cpu:
                 # Lazy import: repro.cpu.compile imports this module.
                 from repro.cpu.compile import COMPILE_CACHE
 
-                plan = COMPILE_CACHE.plan_for(self.program, self.config)
-                if plan is not None:
-                    self.engine_used = "compiled"
-                    return self.run_compiled(plan)
-            self.engine_used = self.engine_used or "fast"
+                self.engine_used = "compiled"
+                return self.run_compiled(
+                    COMPILE_CACHE.plan_for(self.program, self.config))
+            self.engine_used = "fast"
             return self.run_fast()
         self.engine_used = "legacy"
         while not self.halted:
@@ -426,7 +414,7 @@ class Cpu:
         through the same ``observe_batch`` batching as :meth:`run_fast`.
 
         Runs that the trampoline cannot finish -- a transfer to an address
-        outside the compiled plan, or a block whose worst-case retirement
+        that is not an instruction, or a block whose worst-case retirement
         would cross the fuel limit -- delegate the remainder of the run to
         :meth:`run_fast` with identical semantics.
         """
@@ -468,7 +456,7 @@ class Cpu:
             mv2 = view.cast("H")
             mv4 = view.cast("I")
         #: Set when the remainder of the run must finish on ``run_fast``
-        #: (stray pc outside the plan, or fuel check too close to the limit
+        #: (pc that is not an instruction, or fuel check too close to the limit
         #: for a whole-block step).
         delegated = False
         try:

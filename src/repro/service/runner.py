@@ -159,12 +159,9 @@ class CampaignResult:
     spec_name: str
     verify_mode: str
     workers: int
-    #: Whether prover and verifier executions used the fused fast-path
-    #: interpreter (the opt-out :attr:`repro.cpu.core.CpuConfig.fast_path`).
-    fast_path: bool = True
-    #: The resolved execution engine of the prover-side simulations
-    #: ("legacy", "fast" or "compiled").
-    engine: str = "fast"
+    #: The execution engine of the prover-side simulations ("legacy",
+    #: "fast" or "compiled").
+    engine: str = "compiled"
     #: Report-production pipeline: "capture" (two-stage, the default) or
     #: "live" (fused capture+attest per job).
     pipeline: str = "capture"
@@ -225,7 +222,6 @@ class CampaignResult:
             "campaign": self.spec_name,
             "verify_mode": self.verify_mode,
             "workers": self.workers,
-            "fast_path": self.fast_path,
             "engine": self.engine,
             "pipeline": self.pipeline,
             "jobs": len(self.results),
@@ -335,8 +331,7 @@ class CampaignRunner:
             spec_name=spec.name,
             verify_mode=spec.verify_mode,
             workers=max(1, workers),
-            fast_path=(cpu_config or CpuConfig()).fast_path,
-            engine=(cpu_config or CpuConfig()).resolved_engine(),
+            engine=(cpu_config or CpuConfig()).engine,
             pipeline=pipeline,
             results=results,
             prover_seconds=prover_seconds,

@@ -41,13 +41,12 @@ from typing import Dict, Optional, Sequence, Tuple
 from repro.cpu.tracefile import dumps_trace, loads_trace, trace_digest
 from repro.service.fsutil import atomic_write_text
 
-#: CpuConfig fields that do not change the captured execution: all three
-#: execution engines (``engine``/``fast_path``) are architecturally
-#: identical (pinned by tests/test_fastpath_equivalence.py), batching only
-#: affects monitor delivery granularity, and collect_trace is forced off
-#: during capture.
+#: CpuConfig fields that do not change the captured execution: the three
+#: execution engines are architecturally identical (pinned by
+#: tests/test_fastpath_equivalence.py), batching only affects monitor
+#: delivery granularity, and collect_trace is forced off during capture.
 _CPU_CONFIG_IGNORED_FIELDS = frozenset(
-    {"collect_trace", "fast_path", "monitor_batch_size", "engine"}
+    {"collect_trace", "monitor_batch_size", "engine"}
 )
 
 #: Process-wide cache of deserialised traces, keyed by content digest.
@@ -109,8 +108,8 @@ def cpu_config_digest(cpu_config=None) -> str:
     """Canonical digest of the core-model parameters that shape an execution.
 
     Fields that cannot change the retired-instruction stream or the cycle
-    model (``fast_path``, ``monitor_batch_size``, ``collect_trace``) are
-    excluded, so flipping the execution pipeline never invalidates captures.
+    model (``engine``, ``monitor_batch_size``, ``collect_trace``) are
+    excluded, so switching the execution engine never invalidates captures.
     """
     from repro.cpu.core import CpuConfig
 

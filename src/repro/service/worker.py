@@ -218,18 +218,10 @@ def execute_capture_job(
     signature, workload_name, inputs, attack = payload
     program = _assembled_program(workload_name)
     started = time.perf_counter()
-    base = cpu_config or CpuConfig()
-    engine = base.engine
-    if engine is None and base.fast_path:
-        # Stage 1 is the only stage with a CPU in the loop: default to the
-        # compiled engine.  The trampoline falls back to ``run_fast`` on
-        # its own for declined programs and attack pre-hooks, so the
-        # capture is identical either way -- just cheaper.
-        engine = "compiled"
     cpu = Cpu(
         program,
         inputs=list(inputs),
-        config=replace(base, collect_trace=False, engine=engine),
+        config=replace(cpu_config or CpuConfig(), collect_trace=False),
     )
     capture = ControlFlowTrace()
     cpu.attach_monitor(capture.observe)

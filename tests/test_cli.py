@@ -34,9 +34,11 @@ class TestEngineFlags:
         assert args.engine == "compiled"
 
     def test_engine_defaults_to_none(self):
+        from repro.cli import _cpu_config
+
         args = build_parser().parse_args(["run", "crc32"])
         assert args.engine is None
-        assert args.legacy_loop is False
+        assert _cpu_config(args).engine == "compiled"
 
     def test_unknown_engine_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -44,25 +46,29 @@ class TestEngineFlags:
         assert excinfo.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
-    def test_legacy_loop_is_deprecated_alias(self):
+    def test_explicit_engine_reaches_cpu_config(self):
         from repro.cli import _cpu_config
 
-        args = build_parser().parse_args(["run", "crc32", "--legacy-loop"])
-        config = _cpu_config(args)
-        assert config.resolved_engine() == "legacy"
-        assert config.fast_path is False
+        args = build_parser().parse_args(["run", "crc32", "--engine", "legacy"])
+        assert _cpu_config(args).engine == "legacy"
 
-    def test_explicit_engine_wins_over_alias(self):
-        from repro.cli import _cpu_config
-
-        args = build_parser().parse_args(
-            ["run", "crc32", "--legacy-loop", "--engine", "compiled"])
-        assert _cpu_config(args).resolved_engine() == "compiled"
+    def test_engine_help_names_compiled_default(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "(compiled, the default)" in help_text
 
     def test_run_with_compiled_engine(self, capsys):
         assert main(["run", "figure4_loop", "--engine", "compiled"]) == 0
         out = capsys.readouterr().out
         assert "output" in out
+
+    def test_fastpath_check_requires_compiled_default(self, capsys):
+        assert main(["fastpath", "--workload", "figure4_loop",
+                     "--repeats", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "default engine: compiled" in out
+        assert "fastpath check: OK" in out
 
     def test_attest_engines_agree(self, capsys):
         measurements = []

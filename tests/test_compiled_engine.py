@@ -1,11 +1,11 @@
-"""Compiled-program cache lifecycle: bounds, single-flight, declines.
+"""Compiled-program cache lifecycle: bounds, single-flight, every program.
 
 The equivalence of the compiled engine itself is pinned in
 ``test_fastpath_equivalence.py``; this module covers the cache that makes
 it cheap: plans are built once per (digest, cost key), concurrent builders
-are single-flighted, declined programs are remembered as None, and the
-store stays bounded under the same clear-on-full discipline as the decode
-cache.
+are single-flighted, every program gets a plan (unresolved indirect jumps
+included), and the store stays bounded under the same clear-on-full
+discipline as the decode cache.
 """
 
 import threading
@@ -46,14 +46,27 @@ class TestPlanReuse:
         assert cache.compiles == 2
         assert cache.cached_programs == 2
 
-    def test_declined_program_cached_as_none(self, cache):
-        """dispatcher's unresolved indirect declines compilation; the
-        decline is cached so the interval analysis runs once, not per run."""
-        program = get_workload("dispatcher").build()
-        assert cache.plan_for(program, _config()) is None
+    @pytest.mark.parametrize("workload_name", ["dispatcher", "state_machine"])
+    def test_unresolved_indirect_program_compiles_once(self, cache,
+                                                       workload_name):
+        """An unresolved indirect jump no longer declines the program: it
+        gets a cached plan, runs compiled, and matches the legacy oracle."""
+        workload = get_workload(workload_name)
+        program = workload.build()
+        plan = cache.plan_for(program, _config())
+        assert plan is not None
+        assert cache.plan_for(program, _config()) is plan
         assert cache.compiles == 1
-        assert cache.plan_for(program, _config()) is None
-        assert cache.compiles == 1  # served from the cache, not re-analyzed
+
+        cpu = Cpu(program, inputs=list(workload.inputs), config=_config())
+        result = cpu.run()
+        assert cpu.engine_used == "compiled"
+        legacy = Cpu(program, inputs=list(workload.inputs),
+                     config=_config(engine="legacy")).run()
+        assert (result.registers, result.cycles, result.output,
+                result.trace.summary()) == (
+                    legacy.registers, legacy.cycles, legacy.output,
+                    legacy.trace.summary())
 
     def test_distinct_digests_get_distinct_plans(self, cache):
         loop = get_workload("figure4_loop").build()

@@ -8,7 +8,8 @@ attestation scheme and a spread of workloads (including the loop-heavy ones,
 where the batched absorb and the range-based loop-exit check actually
 diverge in code path), that both accelerated engines produce byte-identical
 measurements, metadata, architectural results and verifier verdicts -- and
-that ineligible programs decline cleanly to :meth:`run_fast`.
+that runs the compiled engine cannot take delegate cleanly to
+:meth:`run_fast`.
 """
 
 import pytest
@@ -45,9 +46,9 @@ def _fingerprint(scheme_name, program, inputs, engine):
             result.cycles, result.registers)
 
 
-def _measure(scheme_name, workload, fast, collect=False):
+def _measure(scheme_name, workload, engine, collect=False):
     scheme = get_scheme(scheme_name)
-    config = CpuConfig(fast_path=fast, collect_trace=collect)
+    config = CpuConfig(engine=engine, collect_trace=collect)
     result, measured = scheme.measure_execution(
         workload.build(), list(workload.inputs), cpu_config=config)
     return result, measured
@@ -59,8 +60,8 @@ class TestMeasurementEquivalence:
     def test_batched_equals_per_pair(self, scheme_name, workload_name):
         """Fast (batched) and legacy (per-pair) measurements are identical."""
         workload = get_workload(workload_name)
-        legacy_result, legacy = _measure(scheme_name, workload, fast=False)
-        fast_result, fast = _measure(scheme_name, workload, fast=True)
+        legacy_result, legacy = _measure(scheme_name, workload, "legacy")
+        fast_result, fast = _measure(scheme_name, workload, "fast")
 
         assert fast.measurement == legacy.measurement
         assert fast.metadata.to_bytes() == legacy.metadata.to_bytes()
@@ -71,17 +72,17 @@ class TestMeasurementEquivalence:
         assert fast_result.registers == legacy_result.registers
 
     @pytest.mark.parametrize("scheme_name", SCHEMES)
-    def test_fast_path_with_collected_trace(self, scheme_name):
+    def test_fast_engine_with_collected_trace(self, scheme_name):
         """Trace collection does not perturb the batched measurement."""
         workload = get_workload("figure4_loop")
-        _, streamed = _measure(scheme_name, workload, fast=True, collect=False)
+        _, streamed = _measure(scheme_name, workload, "fast", collect=False)
         collected_result, collected = _measure(
-            scheme_name, workload, fast=True, collect=True)
+            scheme_name, workload, "fast", collect=True)
         assert collected.measurement == streamed.measurement
         assert collected.metadata.to_bytes() == streamed.metadata.to_bytes()
-        # The collected trace itself matches a legacy-loop trace.
+        # The collected trace itself matches a legacy-engine trace.
         legacy_result, _ = _measure(
-            scheme_name, workload, fast=False, collect=True)
+            scheme_name, workload, "legacy", collect=True)
         assert len(collected_result.trace) == len(legacy_result.trace)
         for lhs, rhs in zip(collected_result.trace, legacy_result.trace):
             assert (lhs.pc, lhs.next_pc, lhs.cycle, lhs.kind, lhs.taken) == \
@@ -91,8 +92,8 @@ class TestMeasurementEquivalence:
     def test_lofat_compression_stats_identical(self, workload_name):
         """Loop compression behaves identically under batched observation."""
         workload = get_workload(workload_name)
-        _, legacy = _measure("lofat", workload, fast=False)
-        _, fast = _measure("lofat", workload, fast=True)
+        _, legacy = _measure("lofat", workload, "legacy")
+        _, fast = _measure("lofat", workload, "fast")
         for key in ("pairs_hashed", "control_flow_events", "pairs_compressed",
                     "compression_ratio"):
             assert fast.stats[key] == legacy.stats[key], key
@@ -106,14 +107,15 @@ class TestVerifierEquivalence:
         (and vice versa): the wire format is pipeline-agnostic."""
         workload = get_workload("syringe_pump")
         program = workload.build()
-        for prover_fast, verifier_fast in ((True, False), (False, True)):
+        for prover_engine, verifier_engine in (("fast", "legacy"),
+                                               ("legacy", "fast")):
             prover = Prover(
                 {workload.name: program},
-                cpu_config=CpuConfig(fast_path=prover_fast,
+                cpu_config=CpuConfig(engine=prover_engine,
                                      collect_trace=False),
             )
             verifier = Verifier(
-                cpu_config=CpuConfig(fast_path=verifier_fast,
+                cpu_config=CpuConfig(engine=verifier_engine,
                                      collect_trace=False),
             )
             verifier.register_program(workload.name, program)
@@ -123,11 +125,12 @@ class TestVerifierEquivalence:
                 workload.name, list(workload.inputs), scheme=scheme_name)
             report = prover.attest(challenge)
             verdict = verifier.verify(report)
-            assert verdict.accepted, (scheme_name, prover_fast, verdict.reason)
+            assert verdict.accepted, (
+                scheme_name, prover_engine, verdict.reason)
 
 
 class TestFastPathFallback:
-    def test_plain_monitor_forces_legacy_loop(self):
+    def test_plain_monitor_forces_legacy_engine(self):
         """A monitor without observe_batch keeps seeing every instruction."""
         workload = get_workload("figure4_loop")
         program = workload.build()
@@ -137,18 +140,15 @@ class TestFastPathFallback:
         result = cpu.run()
         assert len(seen) == result.instructions  # every retirement observed
 
-    def test_fast_path_opt_out_flag(self):
+    def test_legacy_engine_matches_default(self):
         workload = get_workload("figure4_loop")
         program = workload.build()
         cpu = Cpu(program, inputs=list(workload.inputs),
-                  config=CpuConfig(fast_path=False))
+                  config=CpuConfig(engine="legacy"))
         legacy = cpu.run()
-        fast = Cpu(program, inputs=list(workload.inputs)).run()
-        assert legacy.cycles == fast.cycles
-        assert legacy.output == fast.output
-
-    def test_fast_path_enabled_by_default(self):
-        assert CpuConfig().fast_path is True
+        default = Cpu(program, inputs=list(workload.inputs)).run()
+        assert legacy.cycles == default.cycles
+        assert legacy.output == default.output
 
     def test_raising_batch_monitor_does_not_duplicate_delivery(self):
         """If a monitor raises mid-flush, earlier monitors in the same
@@ -197,22 +197,23 @@ class TestFastPathFallback:
             return hook
 
         results = {}
-        for fast in (False, True):
+        for engine_name in ("legacy", "fast"):
             cpu = Cpu(program, inputs=list(workload.inputs),
-                      config=CpuConfig(fast_path=fast, collect_trace=False))
+                      config=CpuConfig(engine=engine_name,
+                                       collect_trace=False))
             engine = LoFatEngine()
             cpu.attach_monitor(engine.observe)
             cpu.add_pre_instruction_hook(make_hook())
             result = cpu.run()
             measurement = engine.finalize()
-            results[fast] = (
+            results[engine_name] = (
                 measurement.measurement,
                 measurement.metadata.to_bytes(),
                 result.instructions,
                 result.cycles,
                 result.output,
             )
-        assert results[True] == results[False]
+        assert results["fast"] == results["legacy"]
 
     def test_redirect_into_active_loop_region_preserves_equivalence(self):
         """Nastier redirect: execution falls through past a loop's exit node
@@ -240,7 +241,7 @@ class TestFastPathFallback:
             ecall
         """
         program = assemble(source)
-        reference = Cpu(program, config=CpuConfig(fast_path=False)).run()
+        reference = Cpu(program, config=CpuConfig(engine="legacy")).run()
         branch_pc = next(r.pc for r in reference.trace
                          if r.kind is BranchKind.CONDITIONAL)
         trigger_pc = branch_pc + 12  # third straight-line addi past the exit
@@ -255,23 +256,23 @@ class TestFastPathFallback:
             return hook
 
         results = {}
-        for fast in (False, True):
-            cpu = Cpu(program, config=CpuConfig(fast_path=fast,
+        for engine_name in ("legacy", "fast"):
+            cpu = Cpu(program, config=CpuConfig(engine=engine_name,
                                                 collect_trace=False))
             engine = LoFatEngine()
             cpu.attach_monitor(engine.observe)
             cpu.add_pre_instruction_hook(make_hook())
             result = cpu.run()
             measurement = engine.finalize()
-            results[fast] = (
+            results[engine_name] = (
                 measurement.measurement,
                 measurement.metadata.to_bytes(),
                 result.instructions,
                 result.cycles,
             )
-        assert results[True] == results[False]
+        assert results["fast"] == results["legacy"]
 
-    def test_pre_hooks_run_on_fast_path(self):
+    def test_pre_hooks_run_on_fast_engine(self):
         """Attack-style pre-instruction hooks fire on the fused loop too."""
         workload = get_workload("figure4_loop")
         program = workload.build()
@@ -381,7 +382,7 @@ class TestCompiledEquivalence:
 
 
 class TestCompiledFallback:
-    """Ineligible programs and configurations decline to run_fast."""
+    """Run shapes the compiled engine cannot take delegate to run_fast."""
 
     def test_eligible_workload_actually_compiles(self):
         workload = get_workload("figure4_loop")
@@ -390,21 +391,22 @@ class TestCompiledFallback:
         cpu.run()
         assert cpu.engine_used == "compiled"
 
-    def test_unresolved_indirect_declines_to_fast(self):
-        """dispatcher's input-dependent jalr has no statically resolved
-        target, so the compiler declines the whole program and run()
-        records the fast path -- while staying architecturally identical."""
-        workload = get_workload("dispatcher")
+    @pytest.mark.parametrize("workload_name", ["dispatcher", "state_machine"])
+    def test_unresolved_indirect_runs_compiled(self, workload_name):
+        """An input-dependent jalr no longer declines the program: the
+        trampoline resolves each runtime target, and the run stays
+        byte-identical to the legacy oracle under every scheme."""
+        workload = get_workload(workload_name)
         program = workload.build()
         cpu = Cpu(program, inputs=list(workload.inputs),
                   config=CpuConfig(engine="compiled", collect_trace=False))
-        result = cpu.run()
-        assert cpu.engine_used == "fast"
-        reference = Cpu(program, inputs=list(workload.inputs),
-                        config=CpuConfig(engine="legacy")).run()
-        assert result.output == reference.output
-        assert result.cycles == reference.cycles
-        assert result.registers == reference.registers
+        cpu.run()
+        assert cpu.engine_used == "compiled"
+        for scheme_name in SCHEMES:
+            assert (_fingerprint(scheme_name, program, workload.inputs,
+                                 "compiled")
+                    == _fingerprint(scheme_name, program, workload.inputs,
+                                    "legacy")), scheme_name
 
     def test_pre_hook_forces_per_record_engine(self):
         """Attack-style hooks must observe every instruction: a pre-hook
@@ -434,10 +436,112 @@ class TestCompiledFallback:
                    (rhs.pc, rhs.next_pc, rhs.cycle, rhs.kind, rhs.taken)
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            CpuConfig(engine="turbo").resolved_engine()
+        with pytest.raises(ValueError, match="unknown execution engine"):
+            CpuConfig(engine="turbo")
 
     def test_engine_default_resolution(self):
-        assert CpuConfig().resolved_engine() == "fast"
-        assert CpuConfig(fast_path=False).resolved_engine() == "legacy"
-        assert CpuConfig(engine="compiled").resolved_engine() == "compiled"
+        assert CpuConfig().engine == "compiled"
+        assert CpuConfig(engine="legacy").engine == "legacy"
+        assert CpuConfig(engine="fast").engine == "fast"
+
+
+#: Hand-assembled trampoline probe: each input is a byte offset from
+#: ``anchor`` for the input-dependent ``jr`` (negative ends the run).  The
+#: interval analysis cannot resolve the jump, so every target below is
+#: found by the trampoline at run time.
+TRAMPOLINE_SOURCE = """
+_start:
+    li   s0, 1
+loop:
+    li   a7, 5
+    ecall
+    blt  a0, zero, finish
+    la   t1, anchor
+    add  t1, t1, a0
+    jr   t1
+anchor:
+    addi s0, s0, 2
+    addi s0, s0, 3
+    j    mid
+mid:
+    addi s0, s0, 5
+    slli s0, s0, 1
+    j    loop
+finish:
+    mv   a0, s0
+    li   a7, 1
+    ecall
+    li   a0, 0
+    li   a7, 93
+    ecall
+"""
+
+#: Offsets from ``anchor``: the block leader itself, the pc just after the
+#: chain-internal ``j mid`` (mid-superblock in ``anchor``'s chain), and a
+#: mid-block pc that is no leader at all (compiled on first use).
+LEADER, AFTER_INTERNAL_JAL, MID_BLOCK = 0, 12, 4
+
+
+def _probe_run(scheme_name, inputs, engine, max_instructions=2_000_000):
+    """Run the probe under ``engine``; the fingerprint or the exception."""
+    from repro.isa.assembler import assemble
+
+    program = assemble(TRAMPOLINE_SOURCE)
+    cpu = Cpu(program, inputs=list(inputs),
+              config=CpuConfig(engine=engine, collect_trace=False,
+                               max_instructions=max_instructions))
+    session = get_scheme(scheme_name).open_session(program)
+    cpu.attach_monitor(session.observe)
+    try:
+        result = cpu.run()
+    except Exception as error:  # compared against the oracle's exception
+        return cpu.engine_used, (type(error), str(error))
+    measured = session.finalize()
+    return cpu.engine_used, (
+        result.registers, result.cycles, result.output,
+        result.trace.summary(), measured.measurement,
+        measured.metadata.to_bytes())
+
+
+class TestTrampolineIndirectTargets:
+    """The compiled trampoline against the legacy oracle on unresolved
+    indirect targets: leaders, mid-superblock pcs and non-instructions."""
+
+    @pytest.mark.parametrize("scheme_name", SCHEMES)
+    @pytest.mark.parametrize("inputs", [
+        [LEADER, -1],
+        [AFTER_INTERNAL_JAL, -1],
+        [MID_BLOCK, -1],
+        [LEADER, AFTER_INTERNAL_JAL, MID_BLOCK, LEADER, AFTER_INTERNAL_JAL,
+         -1],
+    ], ids=["leader", "after-internal-jal", "mid-block", "mixed"])
+    def test_target_matches_oracle(self, scheme_name, inputs):
+        engine_used, compiled = _probe_run(scheme_name, inputs, "compiled")
+        _, legacy = _probe_run(scheme_name, inputs, "legacy")
+        assert engine_used == "compiled"
+        assert compiled == legacy
+
+    @pytest.mark.parametrize("scheme_name", SCHEMES)
+    @pytest.mark.parametrize("offset", [2, 4096],
+                             ids=["misaligned", "data-region"])
+    def test_non_instruction_target_raises_like_oracle(self, scheme_name,
+                                                       offset):
+        """A target that is not an instruction delegates to run_fast, which
+        raises the legacy loop's fetch fault, type and message alike."""
+        inputs = [LEADER, offset, -1]
+        _, compiled = _probe_run(scheme_name, inputs, "compiled")
+        _, legacy = _probe_run(scheme_name, inputs, "legacy")
+        assert isinstance(legacy[0], type) and issubclass(
+            legacy[0], Exception)
+        assert compiled == legacy
+
+    def test_fuel_tail_raises_like_oracle(self):
+        """A block that could cross the fuel limit finishes on run_fast,
+        which stops at the exact instruction the legacy loop stops at."""
+        inputs = [LEADER, AFTER_INTERNAL_JAL, MID_BLOCK] * 4 + [-1]
+        _, compiled = _probe_run("lofat", inputs, "compiled",
+                                 max_instructions=50)
+        _, legacy = _probe_run("lofat", inputs, "legacy",
+                               max_instructions=50)
+        assert compiled[0].__name__ == "OutOfFuelError"
+        assert compiled == legacy

@@ -212,9 +212,16 @@ class TestJobResults:
             format_campaign_summary,
             format_campaign_table,
         )
+        from repro.cpu.core import CpuConfig
+
         result = CampaignRunner().run(small_spec)
         summary = format_campaign_summary(result)
         assert "attacks detected : 2/2" in summary
+        assert "execution path   : compiled, capture/attest pipeline" in summary
+        fast = CampaignRunner(cpu_config=CpuConfig(engine="fast")).run(
+            small_spec, pipeline="live")
+        assert "execution path   : fast, live pipeline" in \
+            format_campaign_summary(fast)
         table = format_campaign_table(result, limit=3)
         assert "more jobs" in table
         assert format_campaign_failures(result) == "no unexpected job outcomes"

@@ -41,14 +41,31 @@ class TestExecutionSignature:
         base = execution_signature("figure4_loop", (5,), None)
         assert execution_signature(
             "figure4_loop", (5,), None,
-            cpu_config=CpuConfig(fast_path=False, collect_trace=True,
+            cpu_config=CpuConfig(engine="legacy", collect_trace=True,
                                  monitor_batch_size=7)) == base
 
     def test_cpu_config_digest_ignores_pipeline_fields(self):
         assert cpu_config_digest(CpuConfig()) == \
-               cpu_config_digest(CpuConfig(fast_path=False))
+               cpu_config_digest(CpuConfig(engine="legacy"))
         assert cpu_config_digest(CpuConfig()) != \
                cpu_config_digest(CpuConfig(load_latency=3))
+
+    def test_persisted_keys_pinned(self):
+        """Stored captures and measurement-database entries are keyed by
+        these digests: adding, removing or renaming a CpuConfig field that
+        cannot change the execution must leave them byte-for-byte alone."""
+        from repro.schemes import get_scheme
+
+        assert cpu_config_digest(CpuConfig()) == (
+            "3eaba42a9f52c4c4ac4536e2b3431b9e62082eee3726703845ed828ee2105c33")
+        assert execution_signature("figure4_loop", (5,), None) == (
+            "920266858c31269e209806b9358d011444c7354b70efd07361879a3a4cfd68d8")
+        assert execution_signature(
+            "figure4_loop", (5,), None,
+            cpu_config=CpuConfig(div_latency=99)) == (
+            "b936556ef4824d9e11d7fbc4ef463a9d809936b3c9543cc271f721d9db0eba06")
+        assert get_scheme("lofat").config_digest() == (
+            "646a09335554f367243180dd0d61aff85ddf891e5a8172c57bcc01c459141f74")
 
     def test_varies_with_build_signature(self):
         workload = get_workload("figure4_loop")
