@@ -18,10 +18,14 @@ Step 4 is implemented in three complementary modes:
   scheme's own :meth:`reference_measurement` and compares the resulting
   ``(A, L)``.  This is the strongest check and mirrors how C-FLAT/LO-FAT
   verifiers are evaluated in practice (known-input attestation).
-* **Measurement database**: expected measurements for a set of inputs are
-  precomputed and looked up; useful when the verifier wants O(1) verification
-  cost online.  Keys include the scheme name, so LO-FAT and C-FLAT references
-  for the same (program, input) never collide.
+* **Measurement database**: the caller passes the expected ``(A,
+  serialized L)`` it looked up (or computed) in the digest-keyed
+  :class:`repro.service.MeasurementDatabase`, and the verifier compares
+  against it; useful when the verifier wants O(1) verification cost
+  online.  The verifier keeps no references of its own, so a reference is
+  always bound to the program binary, input, scheme and configuration it
+  was computed for; without one the report is rejected as
+  ``NO_REFERENCE``.
 * **Structural CFG checks**: independent of the input, the metadata ``L`` is
   validated against the static CFG (every reported loop entry must be the
   target of a backward edge; path encodings must be consistent with the loop
@@ -39,31 +43,18 @@ through :func:`repro.dataflow.analyze_program`.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.attestation.crypto import fresh_nonce, verify_signature
 from repro.attestation.protocol import AttestationChallenge, AttestationReport
 from repro.cpu.core import CpuConfig
 from repro.dataflow.policy import StaticPolicy
-from repro.dataflow.program import (
-    ProgramAnalysis,
-    analyze_program,
-    clear_analysis_cache,
-)
+from repro.dataflow.program import ProgramAnalysis, analyze_program
 from repro.isa.assembler import Program
-from repro.lofat.config import LoFatConfig
 from repro.lofat.metadata import LoopMetadata
 from repro.schemes import get_scheme
 # Re-exported for backward compatibility: these historically lived here.
 from repro.schemes.base import VerdictReason, VerificationResult  # noqa: F401
-
-#: Historical name for the verifier's offline program analysis.  The class
-#: moved to ``repro.dataflow.program`` (where the dataflow passes live) and
-#: grew lazy interval/loop-bound/liveness passes; the attribute surface the
-#: verifier relies on (``program``, ``cfg``, ``loops``, ``path_checker``,
-#: ``backward_edge_targets``, ``instruction_addresses``) is unchanged.
-ProgramKnowledge = ProgramAnalysis
 
 #: Growth bound for a verifier's memoised structural verdicts: benign
 #: metadata repeats, attack metadata is mostly distinct, so the cache is
@@ -71,52 +62,44 @@ ProgramKnowledge = ProgramAnalysis
 _STRUCTURAL_CACHE_MAX = 4096
 
 
-def clear_knowledge_cache() -> None:
-    """Drop all cached offline analyses (used by tests and benchmarks)."""
-    clear_analysis_cache()
-
-
 class Verifier:
     """The remote verifier V (scheme-agnostic)."""
 
-    def __init__(
-        self,
-        lofat_config: Optional[LoFatConfig] = None,
-        cpu_config: Optional[CpuConfig] = None,
-    ) -> None:
-        self.lofat_config = lofat_config or LoFatConfig()
+    def __init__(self, cpu_config: Optional[CpuConfig] = None) -> None:
         self.cpu_config = cpu_config
-        #: Per-scheme configurations the verifier replays references with;
-        #: the historical ``lofat_config`` argument seeds the ``lofat`` entry.
-        self._scheme_configs: Dict[str, object] = {"lofat": self.lofat_config}
-        self._programs: Dict[str, ProgramKnowledge] = {}
+        #: Per-scheme configurations the verifier replays references with.
+        self._scheme_configs: Dict[str, object] = {}
+        self._programs: Dict[str, ProgramAnalysis] = {}
         self._verification_keys: Dict[str, bytes] = {}
         self._outstanding_nonces: Dict[bytes, AttestationChallenge] = {}
         self._used_nonces: set = set()
-        #: (scheme, program_id, inputs) -> (A, serialized L).
-        self._measurement_db: Dict[
-            Tuple[str, str, Tuple[int, ...]], Tuple[bytes, bytes]
-        ] = {}
         #: Memoised structural verdicts keyed by (program_id, serialized L).
         #: A standing verifier sees the same benign metadata thousands of
         #: times; the CFG checks are pure in the program analysis, the
         #: installed policy and the metadata bytes, so each distinct L is
-        #: checked once (the cache is cleared when a policy is installed).
+        #: checked once (the cache is cleared when a policy is installed or
+        #: an id is re-registered with a different binary).
         self._structural_cache: Dict[Tuple[str, bytes], VerificationResult] = {}
         #: Per-program StaticPolicy artifacts enforced before replay/lookup.
         self._policies: Dict[str, StaticPolicy] = {}
 
     # ------------------------------------------------------- provisioning
-    def register_program(self, program_id: str, program: Program) -> ProgramKnowledge:
+    def register_program(self, program_id: str, program: Program) -> ProgramAnalysis:
         """Offline pre-processing: build and store the program's analysis.
 
         Delegates to the shared :func:`repro.dataflow.analyze_program` entry
         point, which caches one analysis per program digest process-wide, so
         registering the same binary again (under any id, on any Verifier
         instance) is an O(lookup) operation and the dataflow passes are
-        computed at most once per binary.
+        computed at most once per binary.  Re-registering an id with a
+        different binary drops the memoised structural verdicts and the
+        id's installed policy, both of which described the old image.
         """
         knowledge = analyze_program(program)
+        previous = self._programs.get(program_id)
+        if previous is not None and previous.program.digest != program.digest:
+            self._structural_cache.clear()
+            self._policies.pop(program_id, None)
         self._programs[program_id] = knowledge
         return knowledge
 
@@ -170,8 +153,6 @@ class Verifier:
         if config is None or isinstance(config, dict):
             config = backend.configure(config or {})
         self._scheme_configs[scheme] = config
-        if scheme == "lofat":
-            self.lofat_config = config
 
     def scheme_config(self, scheme: str):
         """The configuration this verifier replays ``scheme`` references with."""
@@ -180,85 +161,6 @@ class Verifier:
             config = get_scheme(scheme).default_config()
             self._scheme_configs[scheme] = config
         return config
-
-    def precompute_measurement(
-        self, program_id: str, inputs: Sequence[int], scheme: str = "lofat"
-    ) -> Tuple[bytes, bytes]:
-        """Populate the measurement database for (scheme, program, input).
-
-        Returns the expected ``(A, serialized L)`` pair.
-        """
-        measurement = self._reference_measurement(program_id, inputs, scheme)
-        key = (scheme, program_id, tuple(inputs))
-        self._measurement_db[key] = (
-            measurement.measurement, measurement.metadata.to_bytes(),
-        )
-        return self._measurement_db[key]
-
-    def seed_measurement(
-        self,
-        program_id: str,
-        inputs: Sequence[int],
-        measurement: bytes,
-        metadata_bytes: bytes,
-        scheme: str = "lofat",
-    ) -> None:
-        """Install an externally computed reference ``(A, serialized L)``.
-
-        The campaign service uses this to share one
-        :class:`repro.service.MeasurementDatabase` across verifier instances:
-        the database computes (or looks up) the expected measurement keyed by
-        scheme, program digest and configuration, then seeds it here so
-        :meth:`verify` in ``"database"`` mode is a pure lookup.
-        """
-        self._measurement_db[(scheme, program_id, tuple(inputs))] = (
-            measurement,
-            metadata_bytes,
-        )
-
-    def export_measurement_database(self) -> str:
-        """Serialise the measurement database to JSON (for persistence).
-
-        The database contains only public reference values (expected A and L
-        per known input), so it can be stored or shared freely.
-        """
-        entries = [
-            {
-                "scheme": scheme,
-                "program_id": program_id,
-                "inputs": list(inputs),
-                "measurement": measurement.hex(),
-                "metadata": metadata.hex(),
-            }
-            for (scheme, program_id, inputs), (measurement, metadata)
-            in sorted(self._measurement_db.items())
-        ]
-        return json.dumps({"version": 1, "entries": entries}, indent=2)
-
-    def import_measurement_database(self, payload: str) -> int:
-        """Load a database previously produced by :meth:`export_measurement_database`.
-
-        Returns the number of imported entries.  Entries for unregistered
-        programs are imported as well (the program may be registered later);
-        existing entries with the same key are overwritten.  Entries written
-        before the scheme field existed default to ``"lofat"``.
-        """
-        document = json.loads(payload)
-        if document.get("version") != 1:
-            raise ValueError("unsupported measurement database version")
-        count = 0
-        for entry in document.get("entries", []):
-            key = (
-                str(entry.get("scheme", "lofat")),
-                entry["program_id"],
-                tuple(int(v) for v in entry["inputs"]),
-            )
-            self._measurement_db[key] = (
-                bytes.fromhex(entry["measurement"]),
-                bytes.fromhex(entry["metadata"]),
-            )
-            count += 1
-        return count
 
     # ----------------------------------------------------------- protocol
     def challenge(
@@ -312,12 +214,16 @@ class Verifier:
         report: AttestationReport,
         device_id: str = "prover-0",
         mode: str = "replay",
+        expected: Optional[Tuple[bytes, bytes]] = None,
     ) -> VerificationResult:
         """Check an attestation report.
 
         ``mode`` selects how the measurement itself is validated:
-        ``"replay"`` (golden replay), ``"database"`` (precomputed
-        measurements) or ``"structural"`` (CFG checks only).
+        ``"replay"`` (golden replay), ``"database"`` (compare against the
+        caller's ``expected`` ``(A, serialized L)``, typically a
+        :class:`repro.service.MeasurementDatabase` entry for the challenged
+        program, input, scheme and configuration; None rejects the report
+        as ``NO_REFERENCE``) or ``"structural"`` (CFG checks only).
         """
         if report.program_id not in self._programs:
             return VerificationResult(False, VerdictReason.UNKNOWN_PROGRAM)
@@ -383,9 +289,6 @@ class Verifier:
             return VerificationResult(True, VerdictReason.ACCEPTED,
                                       "structural checks only")
         if mode == "database":
-            expected = self._measurement_db.get(
-                (report.scheme, report.program_id, tuple(challenge.inputs))
-            )
             if expected is None:
                 return VerificationResult(False, VerdictReason.NO_REFERENCE)
             return scheme.verify(report, expected)

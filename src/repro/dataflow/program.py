@@ -5,8 +5,7 @@ the adversary generator's feasibility vetting, the lint pass and the
 ``repro analyze`` CLI — goes through :func:`analyze_program`, which caches
 one :class:`ProgramAnalysis` per program digest process-wide.  The cheap
 structural pieces (CFG, natural loops, path checker, backward-edge targets)
-are built eagerly, exactly like the verifier's historical
-``ProgramKnowledge``; the dataflow passes (intervals, loop bounds,
+are built eagerly; the dataflow passes (intervals, loop bounds,
 liveness, reaching definitions, the StaticPolicy) are computed lazily on
 first use and memoised, so a verifier that never installs a policy pays
 nothing for the new machinery.

@@ -515,6 +515,7 @@ class CampaignRunner:
         ).export_for_verifier()
         verifiers: Dict[Tuple[str, str], Verifier] = {}
         programs: Dict[str, Program] = {}
+        registered = set()
         for job in jobs:
             if job.workload not in programs:
                 # Shares the process-wide build-signature-keyed assembly
@@ -528,8 +529,9 @@ class CampaignRunner:
                 verifier.configure_scheme(job.scheme, job.scheme_config())
                 verifier.register_device_key(self.device_id, verification_key)
                 verifiers[key] = verifier
-            if job.workload not in verifier._programs:
+            if (key, job.workload) not in registered:
                 verifier.register_program(job.workload, programs[job.workload])
+                registered.add((key, job.workload))
         return verifiers, programs
 
     def _execute_provers(
@@ -584,6 +586,7 @@ class CampaignRunner:
     ) -> JobResult:
         verifier = verifiers[(job.scheme, job.config_name)]
         cache_hit: Optional[bool] = None
+        expected = None
         if spec.verify_mode == "database":
             capture = (reference_captures or {}).get(job.job_id)
             measurement, metadata_bytes, cache_hit = self.database.lookup_or_compute(
@@ -595,12 +598,10 @@ class CampaignRunner:
                 capture=capture,
                 config_digest=job.scheme_config_digest(),
             )
-            verifier.seed_measurement(
-                job.workload, job.inputs, measurement, metadata_bytes,
-                scheme=job.scheme,
-            )
+            expected = (measurement, metadata_bytes)
         verdict = verifier.verify(
             response.report, device_id=self.device_id, mode=spec.verify_mode,
+            expected=expected,
         )
         report = response.report
         return JobResult(

@@ -365,8 +365,6 @@ class AttestationServer:
         program = self._program(program_id)
         backend = get_scheme(scheme_name)
         config, cfg_digest = self._scheme_config(scheme_name)
-        key = MeasurementDatabase.key_for(
-            program, inputs, config, scheme_name, cfg_digest)
         entry = self.database.lookup(
             program, inputs, config, scheme_name, cfg_digest)
         if entry is not None:
@@ -404,6 +402,8 @@ class AttestationServer:
                 )
             return measured.measurement, measured.metadata.to_bytes()
 
+        key = MeasurementDatabase.key_for(
+            program, inputs, config, scheme_name, cfg_digest)
         measurement, metadata = await self.pool.reference(
             key, scheme_name, compute)
         # Back on the loop: store under both keyspaces.
@@ -417,7 +417,7 @@ class AttestationServer:
         return measurement, metadata
 
     async def _verify_report(self, report: AttestationReport, device_id: str):
-        """Verify one report against the shared database (seeding on demand).
+        """Verify one report against its reference in the shared database.
 
         The expensive part -- computing a cold reference -- only runs for a
         report that is *bound to an outstanding challenge and carries a
@@ -426,6 +426,7 @@ class AttestationServer:
         without costing a simulation or a database entry, so a hostile
         client cannot drive unbounded reference computation.
         """
+        expected = None
         challenge = self.verifier.outstanding_challenge(report.nonce)
         if (
             challenge is not None
@@ -442,13 +443,9 @@ class AttestationServer:
                     tuple(challenge.inputs),
                 )
             except SchemeNotFoundError:
-                expected = None
-            if expected is not None:
-                self.verifier.seed_measurement(
-                    challenge.program_id, challenge.inputs,
-                    expected[0], expected[1], scheme=challenge.scheme,
-                )
-        return self.verifier.verify(report, device_id=device_id, mode="database")
+                pass
+        return self.verifier.verify(
+            report, device_id=device_id, mode="database", expected=expected)
 
     # ------------------------------------------------------------ connection
     async def _handle_connection(

@@ -5,6 +5,7 @@ import pytest
 from repro.attestation import Prover, Verifier
 from repro.attestation.verifier import VerdictReason
 from repro.lofat.metadata import LoopMetadata
+from repro.service.database import MeasurementDatabase
 from repro.workloads import get_workload
 
 
@@ -38,11 +39,13 @@ class TestHappyPath:
         assert report.output == pump.expected_output
 
     def test_database_mode(self, protocol_setup):
-        _, fig4, _, prover, verifier = protocol_setup
-        verifier.precompute_measurement(fig4.name, fig4.inputs)
+        _, fig4, programs, prover, verifier = protocol_setup
+        measurement, metadata, _ = MeasurementDatabase().lookup_or_compute(
+            programs[fig4.name], tuple(fig4.inputs))
         challenge = verifier.challenge(fig4.name, fig4.inputs)
         report = prover.attest(challenge)
-        assert verifier.verify(report, device_id="device-7", mode="database").accepted
+        assert verifier.verify(report, device_id="device-7", mode="database",
+                               expected=(measurement, metadata)).accepted
 
     def test_database_mode_without_reference(self, protocol_setup):
         _, fig4, _, prover, verifier = protocol_setup

@@ -20,6 +20,7 @@ from repro.attacks import get_attack
 from repro.attestation.prover import Prover
 from repro.attestation.verifier import Verifier
 from repro.service.client import AttestationClient, SimulatedProver
+from repro.service.database import MeasurementDatabase
 from repro.service.server import AttestationServer
 from repro.workloads import get_workload
 
@@ -42,8 +43,10 @@ def in_process_protocol(workload_name, scheme, attack=None, inputs=None):
         prover.install_attack(get_attack(attack).prover_hook(program))
     challenge = verifier.challenge(workload_name, inputs, scheme=scheme)
     report = prover.attest(challenge)
-    verifier.precompute_measurement(workload_name, inputs, scheme=scheme)
-    verdict = verifier.verify(report, mode="database")
+    measurement, metadata, _ = MeasurementDatabase().lookup_or_compute(
+        program, tuple(inputs), scheme=scheme)
+    verdict = verifier.verify(
+        report, mode="database", expected=(measurement, metadata))
     return report, verdict
 
 

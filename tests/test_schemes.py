@@ -6,6 +6,7 @@ from repro.attestation import Prover, Verifier
 from repro.attestation.protocol import AttestationChallenge
 from repro.schemes.cflat import CFlatAttestation, CFlatCostModel
 from repro.schemes.static import StaticAttestation
+from repro.service.database import MeasurementDatabase
 from repro.cpu.core import Cpu
 from repro.schemes import (
     SCHEME_REGISTRY,
@@ -237,23 +238,28 @@ class TestSchemeProtocol:
 
     @pytest.mark.parametrize("scheme", ["lofat", "cflat", "static"])
     def test_database_mode_per_scheme(self, protocol_parts, scheme):
-        workload, _, prover, verifier = protocol_parts
-        verifier.precompute_measurement(workload.name, workload.inputs,
-                                        scheme=scheme)
+        workload, program, prover, verifier = protocol_parts
+        measurement, metadata, _ = MeasurementDatabase().lookup_or_compute(
+            program, tuple(workload.inputs), scheme=scheme)
         challenge = verifier.challenge(workload.name, workload.inputs,
                                        scheme=scheme)
         report = prover.attest(challenge)
-        assert verifier.verify(report, mode="database").accepted
+        assert verifier.verify(report, mode="database",
+                               expected=(measurement, metadata)).accepted
 
     def test_database_references_do_not_cross_schemes(self, protocol_parts):
         """A lofat reference must not satisfy a cflat lookup."""
-        workload, _, prover, verifier = protocol_parts
-        verifier.precompute_measurement(workload.name, workload.inputs,
-                                        scheme="lofat")
+        workload, program, prover, verifier = protocol_parts
+        database = MeasurementDatabase()
+        database.lookup_or_compute(program, tuple(workload.inputs),
+                                   scheme="lofat")
         challenge = verifier.challenge(workload.name, workload.inputs,
                                        scheme="cflat")
         report = prover.attest(challenge)
-        verdict = verifier.verify(report, mode="database")
+        expected = database.lookup(program, tuple(workload.inputs),
+                                   scheme="cflat")
+        assert expected is None
+        verdict = verifier.verify(report, mode="database", expected=expected)
         assert verdict.reason is VerdictReason.NO_REFERENCE
 
     def test_scheme_mismatch_fails_closed(self, protocol_parts):

@@ -231,10 +231,10 @@ class TestVerifierIntegration:
             "prover-0", prover.keystore.export_for_verifier())
 
         measurement, metadata, _ = database.lookup_or_compute(program, (5,))
-        verifier.seed_measurement(workload.name, (5,), measurement, metadata)
 
         report = prover.attest(verifier.challenge(workload.name, [5]))
-        assert verifier.verify(report, mode="database").accepted
+        assert verifier.verify(report, mode="database",
+                               expected=(measurement, metadata)).accepted
 
     def test_seeded_verifier_rejects_wrong_measurement(self, figure4):
         workload, program = figure4
@@ -243,10 +243,10 @@ class TestVerifierIntegration:
         verifier.register_program(workload.name, program)
         verifier.register_device_key(
             "prover-0", prover.keystore.export_for_verifier())
-        verifier.seed_measurement(workload.name, (5,), b"\x00" * 64, b"")
 
         report = prover.attest(verifier.challenge(workload.name, [5]))
-        verdict = verifier.verify(report, mode="database")
+        verdict = verifier.verify(report, mode="database",
+                                  expected=(b"\x00" * 64, b""))
         assert not verdict.accepted
         assert verdict.reason.value == "measurement_mismatch"
 
