@@ -13,6 +13,15 @@ from typing import Optional
 from repro.analysis.report import format_table
 
 
+def format_database_stats(stats: dict) -> str:
+    """Measurement-database accounting for campaigns and ``repro serve``."""
+    return ("%d entries (+%d trace-keyed), %d hits / %d misses "
+            "(%.0f%% hit rate)"
+            % (stats.get("entries", 0), stats.get("trace_entries", 0),
+               stats.get("hits", 0), stats.get("misses", 0),
+               100.0 * stats.get("hit_rate", 0.0)))
+
+
 def format_campaign_summary(result) -> str:
     """A compact key/value block summarising one campaign run."""
     summary = result.summary()
@@ -61,12 +70,7 @@ def format_campaign_summary(result) -> str:
     lines.append("  total            : %.3f s (%.1f jobs/s)" % (
         summary.pop("total_seconds"), summary.pop("jobs_per_second")))
     if database:
-        lines.append(
-            "  measurement db   : %d entries (+%d trace-keyed), "
-            "%d hits / %d misses (%.0f%% hit rate)"
-            % (database.get("entries", 0), database.get("trace_entries", 0),
-               database.get("hits", 0), database.get("misses", 0),
-               100.0 * database.get("hit_rate", 0.0)))
+        lines.append("  measurement db   : " + format_database_stats(database))
         worker_totals = (database.get("worker_replay_hits", 0),
                          database.get("worker_replay_misses", 0))
         if any(worker_totals):

@@ -15,8 +15,10 @@ Step 4 is implemented in three complementary modes:
 
 * **Golden replay** (the default): the verifier, who owns the program binary
   and chose the input, re-measures the program through the challenged
-  scheme's own :meth:`reference_measurement` and compares the resulting
-  ``(A, L)``.  This is the strongest check and mirrors how C-FLAT/LO-FAT
+  scheme's own :meth:`reference_measurement` (through
+  :func:`repro.service.database.compute_reference`, the one reference
+  computation the service's database misses also run) and compares the
+  resulting ``(A, L)``.  This is the strongest check and mirrors how C-FLAT/LO-FAT
   verifiers are evaluated in practice (known-input attestation).
 * **Measurement database**: the caller passes the expected ``(A,
   serialized L)`` it looked up (or computed) in the digest-keyed
@@ -293,35 +295,18 @@ class Verifier:
                 return VerificationResult(False, VerdictReason.NO_REFERENCE)
             return scheme.verify(report, expected)
 
-        # Golden replay through the scheme's own reference measurement.
-        reference = self._reference_measurement(
-            report.program_id, challenge.inputs, report.scheme
-        )
-        return scheme.verify(
-            report, (reference.measurement, reference.metadata.to_bytes())
-        )
+        # Golden replay: the same reference computation a database miss
+        # runs, uncached.  Imported here because repro.service imports this
+        # module.
+        from repro.service.database import compute_reference
+
+        return scheme.verify(report, compute_reference(
+            self._programs[report.program_id].program, challenge.inputs,
+            report.scheme, self.scheme_config(report.scheme),
+            cpu_config=self.cpu_config,
+        ))
 
     # -------------------------------------------------------------- internals
-    def _reference_measurement(
-        self, program_id: str, inputs: Sequence[int], scheme: str = "lofat"
-    ):
-        """Re-measure the program through the scheme's trusted reference.
-
-        For execution-dependent schemes this replays the program in the
-        verifier's simulator, streaming records straight into a fresh session
-        (no trace accumulation); repeat replays of the same binary reuse the
-        decoded-instruction cache.  Returns a
-        :class:`repro.schemes.SchemeMeasurement`.
-        """
-        knowledge = self._programs[program_id]
-        backend = get_scheme(scheme)
-        return backend.reference_measurement(
-            knowledge.program,
-            inputs,
-            config=self.scheme_config(scheme),
-            cpu_config=self.cpu_config,
-        )
-
     def _check_metadata_structure(
         self, program_id: str, metadata: LoopMetadata
     ) -> VerificationResult:

@@ -71,6 +71,7 @@ from repro.analysis.campaign_report import (
     format_campaign_failures,
     format_campaign_summary,
     format_campaign_table,
+    format_database_stats,
 )
 from repro.analysis.performance import compare_all_workloads
 from repro.analysis.report import format_table
@@ -872,6 +873,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
           "%d protocol errors)"
           % (stats["connections"], stats["reports_verified"],
              stats["accepted"], stats["rejected"], stats["protocol_errors"]))
+    print("measurement db: " + format_database_stats(server.database.stats()))
     return 0
 
 

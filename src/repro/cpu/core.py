@@ -45,6 +45,11 @@ Monitor = Callable[[TraceRecord], None]
 #: Type of the pre-execution hooks used by the attack injectors.
 PreInstructionHook = Callable[["Cpu", int, int], None]
 
+#: Number of control-flow records buffered before a batch is flushed to the
+#: attached monitors (fast and compiled engines).  Batching only changes
+#: delivery granularity, never a measurement.
+MONITOR_BATCH_SIZE = 256
+
 
 @dataclass
 class CpuConfig:
@@ -70,9 +75,6 @@ class CpuConfig:
     #: and stream records straight to the monitors, keeping only summary
     #: counters in memory.
     collect_trace: bool = True
-    #: Number of control-flow records buffered before a batch is flushed to
-    #: the attached monitors on the fast path.
-    monitor_batch_size: int = 256
     #: Execution engine: ``"compiled"`` (superblock trace compilation,
     #: :meth:`Cpu.run_compiled`), ``"fast"`` (fused interpreter,
     #: :meth:`Cpu.run_fast`) or ``"legacy"`` (per-instruction
@@ -283,7 +285,7 @@ class Cpu:
         append_record = self.trace.append if collect else None
         fuel = config.max_instructions
         taken_penalty = config.taken_branch_penalty
-        flush_at = max(1, config.monitor_batch_size)
+        flush_at = MONITOR_BATCH_SIZE
         make_record = TraceRecord
 
         pc = self.pc
@@ -425,7 +427,7 @@ class Cpu:
         block_monitors = self._block_monitors
         use_blocks = bool(block_monitors) and all(block_monitors)
         fuel = config.max_instructions
-        flush_at = max(1, config.monitor_batch_size)
+        flush_at = MONITOR_BATCH_SIZE
         make_record = TraceRecord
 
         pc = self.pc

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Dict, Iterator, List, Optional
 
 from repro.isa.instructions import Instruction
@@ -206,19 +207,31 @@ class ControlFlowTrace:
         #: batched replay relies on is broken, so replaying these records
         #: could diverge from the live measurement.
         self._replayable = replayable
+        #: ``next_pc`` of the last per-record observation (None before any).
+        self._expected_pc: Optional[int] = None
 
     @classmethod
     def from_trace(cls, trace: "ExecutionTrace") -> "ControlFlowTrace":
-        """Compact a full per-instruction trace into its control-flow form."""
+        """Compact a full per-instruction trace into its control-flow form
+        (replayable only if every record starts at its predecessor's
+        ``next_pc``)."""
+        records = trace.records
         return cls(
             records=trace.control_flow_records,
             instructions=len(trace),
             cycles=trace.cycles,
+            replayable=all(
+                before.next_pc == after.pc
+                for before, after in zip(records, islice(records, 1, None))
+            ),
         )
 
     # ------------------------------------------------------- capture (input)
     def observe(self, record: TraceRecord) -> None:
         """Per-record capture hook (legacy interpreter loop)."""
+        if self._expected_pc is not None and record.pc != self._expected_pc:
+            self._replayable = False
+        self._expected_pc = record.next_pc
         self._instructions += 1
         if record.cycle > self._cycles:
             self._cycles = record.cycle

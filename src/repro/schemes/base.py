@@ -37,6 +37,7 @@ import json
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from typing import ClassVar, Mapping, Optional, Tuple
 
+from repro.cpu.core import MONITOR_BATCH_SIZE
 from repro.lofat.metadata import LoopMetadata
 
 
@@ -271,7 +272,7 @@ class AttestationScheme(abc.ABC):
         program,
         trace,
         config=None,
-        batch_size: int = 256,
+        batch_size: int = MONITOR_BATCH_SIZE,
     ) -> SchemeMeasurement:
         """Measure a stored trace through a fresh session -- no CPU in the loop.
 

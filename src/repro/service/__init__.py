@@ -47,7 +47,7 @@ from repro.service.campaign import (
     ConfigVariant,
     WorkloadSelection,
 )
-from repro.service.database import MeasurementDatabase, config_digest
+from repro.service.database import MeasurementDatabase
 from repro.service.presets import (
     adversary_campaign,
     all_experiments,
@@ -81,7 +81,6 @@ __all__ = [
     "ConfigVariant",
     "WorkloadSelection",
     "MeasurementDatabase",
-    "config_digest",
     "adversary_campaign",
     "all_experiments",
     "experiment_campaign",

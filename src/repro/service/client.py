@@ -44,7 +44,7 @@ from repro.attestation.framing import (
 from repro.attestation.protocol import AttestationChallenge, AttestationReport
 from repro.cpu.core import CpuConfig
 from repro.service.campaign import CampaignJob
-from repro.service.tracestore import TraceStore, execution_signature
+from repro.service.tracestore import TraceStore, benign_capture
 from repro.service.worker import execute_attest_job, execute_prover_job
 from repro.workloads import get_workload
 
@@ -95,7 +95,6 @@ class SimulatedProver:
         self.cpu_config = cpu_config or CpuConfig()
         self.replayed = 0
         self.executed = 0
-        self._cpu_digest: Optional[str] = None
         #: (program_id, inputs, scheme) -> (job, capture): the parts of a
         #: response that do not depend on the nonce, memoised so repeated
         #: challenges cost a dict hit instead of re-hashing the execution
@@ -114,17 +113,9 @@ class SimulatedProver:
             inputs=tuple(challenge.inputs),
             scheme=challenge.scheme,
         )
-        capture = None
-        if self.trace_store is not None:
-            if self._cpu_digest is None:
-                from repro.service.tracestore import cpu_config_digest
-
-                self._cpu_digest = cpu_config_digest(self.cpu_config)
-            signature = execution_signature(
-                challenge.program_id, challenge.inputs,
-                attack=None, cpu_digest=self._cpu_digest,
-            )
-            capture = self.trace_store.get(signature)
+        capture = benign_capture(
+            self.trace_store, challenge.program_id, challenge.inputs,
+            self.cpu_config)
         plan = (job, capture)
         self._plans[key] = plan
         return plan

@@ -22,10 +22,17 @@ keyed by
 
 where the trace digest is the content address of a stored control-flow trace
 (:func:`repro.cpu.tracefile.trace_digest`).  A reference computed by
-*replaying* a capture (``lookup_or_compute(..., capture=...)``) lands under
-both keys, so any later job whose capture serialises to the same bytes --
-whatever workload/input signature it was captured under -- reuses the
-measurement without another replay.  Both keyspaces persist.
+*replaying* a capture lands under both keys, so any later job whose capture
+serialises to the same bytes -- whatever workload/input signature it was
+captured under -- reuses the measurement without another replay.  Both
+keyspaces persist.
+
+Every verifier-side reference follows one sequence owned here:
+:meth:`MeasurementDatabase.lookup` (primary key, then the benign capture's
+trace key; one hit or one miss per request), :func:`compute_reference` on
+a miss, :meth:`MeasurementDatabase.store` (both keys).  The runner runs it
+through ``lookup_or_compute``; the server splits it across its event loop
+and executor; golden replay is :func:`compute_reference` alone.
 
 A third keyspace stores :class:`repro.dataflow.policy.StaticPolicy`
 artifacts keyed by program digest, so verifier processes loading a shared
@@ -56,11 +63,10 @@ from the per-challenge nonce).
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.dataflow.policy import StaticPolicy
 from repro.isa.assembler import Program
-from repro.lofat.config import LoFatConfig
 from repro.schemes import get_scheme
 from repro.service.fsutil import atomic_write_text
 
@@ -71,13 +77,35 @@ DatabaseKey = Tuple[str, str, Tuple[int, ...], str]
 TraceKey = Tuple[str, str, str]
 
 
-def config_digest(config: Optional[LoFatConfig] = None) -> str:
-    """Canonical SHA3-256 digest of a LO-FAT configuration.
+def compute_reference(
+    program: Program,
+    inputs: Tuple[int, ...],
+    scheme: str = "lofat",
+    config=None,
+    capture=None,
+    cpu_config=None,
+) -> Tuple[bytes, bytes]:
+    """Measure the expected ``(A, serialized L)`` of one benign execution.
 
-    Retained for backward compatibility; the scheme-generic form is
-    ``get_scheme(name).config_digest(config)``, which this delegates to.
+    Replays ``capture`` (the benign execution's
+    :class:`repro.service.tracestore.CapturedExecution`) when it is
+    replayable, else runs the scheme's ``reference_measurement``.  Touches
+    no shared state, so the server runs it on an executor thread.
     """
-    return get_scheme("lofat").config_digest(config)
+    backend = get_scheme(scheme)
+    if _replays(backend, capture):
+        measured = backend.replay_measurement(
+            program, capture.trace(), config=config)
+    else:
+        measured = backend.reference_measurement(
+            program, list(inputs), config=config, cpu_config=cpu_config)
+    return measured.measurement, measured.metadata.to_bytes()
+
+
+def _replays(backend, capture) -> bool:
+    """Whether ``backend``'s reference replays ``capture`` (static never does)."""
+    return (capture is not None and capture.replayable
+            and backend.reference_requires_execution)
 
 
 class DeltaLog:
@@ -149,9 +177,9 @@ class MeasurementDatabase:
 
     ``lookup_or_compute`` is the service's main entry point: a hit returns
     the stored ``(A, L)`` immediately; a miss computes the reference through
-    the scheme's own ``reference_measurement`` (streaming, no trace
-    accumulation) and stores it.  Hit/miss counters feed the campaign
-    reports and the E10 benchmark's cache-speedup measurement.
+    :func:`compute_reference` and stores it.  Hit/miss counters feed the
+    campaign reports, the server's STATS frame and the E10 benchmark's
+    cache-speedup measurement, and mean the same thing in all of them.
 
     ``snapshot`` layers this database over a read-mostly base: lookups fall
     through to the snapshot on a local miss, writes stay local (and are
@@ -302,20 +330,19 @@ class MeasurementDatabase:
         config=None,
         scheme: str = "lofat",
         config_digest: Optional[str] = None,
+        resolve_capture: Optional[Callable[[], object]] = None,
     ) -> Optional[Tuple[bytes, bytes]]:
-        """Return the stored ``(A, serialized L)`` or None (counts hit/miss).
+        """Return the stored ``(A, serialized L)`` or None (see :meth:`_probe`).
 
         ``config_digest`` short-circuits the canonical configuration hashing
-        (an ``asdict`` + JSON + SHA3 pass) for callers that memoise it --
-        the attestation server performs this lookup once per report.
+        for callers that memoise it (the server, once per report).
+        ``resolve_capture`` returns the benign capture of the execution, or
+        None; it is called only after a primary-key miss.
         """
-        entry = self._get_entry(
-            self.key_for(program, inputs, config, scheme, config_digest))
-        if entry is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return entry
+        return self._probe(
+            self.key_for(program, inputs, config, scheme, config_digest),
+            resolve_capture,
+        )
 
     def store(
         self,
@@ -325,9 +352,12 @@ class MeasurementDatabase:
         measurement: bytes,
         metadata_bytes: bytes,
         scheme: str = "lofat",
+        capture=None,
+        config_digest: Optional[str] = None,
     ) -> None:
-        key = self.key_for(program, inputs, config, scheme)
-        self._store_entry(key, (bytes(measurement), bytes(metadata_bytes)))
+        """Store a reference under its primary key and ``capture``'s trace key."""
+        key = self.key_for(program, inputs, config, scheme, config_digest)
+        self._remember(key, capture, (bytes(measurement), bytes(metadata_bytes)))
 
     def lookup_trace(
         self,
@@ -392,51 +422,55 @@ class MeasurementDatabase:
     ) -> Tuple[bytes, bytes, bool]:
         """Return ``(A, serialized L, was_hit)``, computing the reference on miss.
 
-        With ``capture`` (a :class:`repro.service.tracestore.CapturedExecution`
-        of the *benign* execution the reference describes), a miss is served
-        by replaying the stored trace through the scheme session -- no CPU in
-        the loop -- after first consulting the trace-digest keyspace; the
-        result is stored under both keys.  Without a capture the reference
-        execution streams its trace (nothing is accumulated) and benefits
-        from the process-wide decoded-instruction cache, so even that miss
-        path is as cheap as one measured run can be; schemes whose
-        measurement is execution-independent (static) skip the run entirely.
+        The whole reference sequence in one call; ``capture`` is the benign
+        execution's capture, or None.
         """
         key = self.key_for(program, inputs, config, scheme, config_digest)
-        entry = self._get_entry(key)
+        entry = self._probe(key, lambda: capture)
         if entry is not None:
-            self.hits += 1
             return entry[0], entry[1], True
-        backend = get_scheme(scheme)
-        if capture is not None and capture.replayable:
-            trace_key = self.trace_key_for(
-                scheme, capture.trace_digest, config, config_digest)
-            entry = self._get_trace_entry(trace_key)
-            if entry is not None:
-                # Served from the trace keyspace without any computation:
-                # that is a cache hit, just through the secondary key.
-                self.hits += 1
-                self._store_entry(key, entry)
-                return entry[0], entry[1], True
-            self.misses += 1
-            measurement = backend.replay_measurement(
-                program, capture.trace(), config=config,
-            )
-            entry = (measurement.measurement,
-                     measurement.metadata.to_bytes())
-            self._store_trace_entry(trace_key, entry)
-            self._store_entry(key, entry)
-            return entry[0], entry[1], False
-        self.misses += 1
-        measurement = backend.reference_measurement(
-            program,
-            inputs=list(inputs),
-            config=config,
-            cpu_config=cpu_config,
-        )
-        entry = (measurement.measurement, measurement.metadata.to_bytes())
-        self._store_entry(key, entry)
+        entry = compute_reference(
+            program, inputs, scheme, config, capture, cpu_config)
+        self._remember(key, capture, entry)
         return entry[0], entry[1], False
+
+    # -------------------------------------------- the reference sequence
+    # Private, so no public method calls another (perfbench wraps each one).
+    def _probe(
+        self,
+        key: DatabaseKey,
+        resolve_capture: Optional[Callable[[], object]],
+    ) -> Optional[Tuple[bytes, bytes]]:
+        """Primary key, then (after a miss) the benign capture's trace key,
+        whose hit backfills the primary key; counts one hit or one miss."""
+        entry = self._get_entry(key)
+        if entry is None and resolve_capture is not None:
+            trace_key = self._trace_key(key, resolve_capture())
+            if trace_key is not None:
+                entry = self._get_trace_entry(trace_key)
+                if entry is not None:
+                    self._store_entry(key, entry)
+        if entry is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return entry
+
+    def _remember(
+        self, key: DatabaseKey, capture, entry: Tuple[bytes, bytes]
+    ) -> None:
+        """Store ``entry`` under ``key`` and under the capture's trace key."""
+        trace_key = self._trace_key(key, capture)
+        if trace_key is not None:
+            self._store_trace_entry(trace_key, entry)
+        self._store_entry(key, entry)
+
+    @staticmethod
+    def _trace_key(key: DatabaseKey, capture) -> Optional[TraceKey]:
+        """The trace key of the capture ``key``'s reference replays, or None."""
+        if not _replays(get_scheme(key[0]), capture):
+            return None
+        return (key[0], capture.trace_digest, key[3])
 
     # ------------------------------------------------------------ reporting
     def __len__(self) -> int:

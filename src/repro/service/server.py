@@ -10,9 +10,10 @@ concurrently over the length-prefixed framing of
   the offline program analyses; programs are registered lazily from the
   workload registry on first challenge.
 * One shared :class:`repro.service.database.MeasurementDatabase` serves the
-  expected ``(A, L)`` references.  A warm database (campaign runs, the
-  persisted trace-digest keyspace of the capture-once pipeline) makes
-  verification O(lookup); cold references are computed once per
+  expected ``(A, L)`` references through the database's one reference
+  sequence (lookup, compute on a miss, store).  A warm database (campaign
+  runs, the persisted trace-digest keyspace of the capture-once pipeline)
+  makes verification O(lookup); cold references are computed once per
   (scheme, program, input, config) through the :class:`SchemeSessionPool`
   and stored.
 * Fail-closed by construction: malformed frames, oversized length prefixes,
@@ -36,6 +37,7 @@ import asyncio
 import json
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, Optional, Tuple
 
 from repro.attestation.framing import (
@@ -57,9 +59,9 @@ from repro.schemes.registry import (
     SchemeNotFoundError,
     scheme_names,
 )
-from repro.service.database import MeasurementDatabase
+from repro.service.database import MeasurementDatabase, compute_reference
 from repro.service.fsutil import atomic_write_text
-from repro.service.tracestore import TraceStore, execution_signature
+from repro.service.tracestore import TraceStore, benign_capture
 from repro.workloads import get_workload
 
 #: Per-connection cap on challenges issued but not yet answered; a client
@@ -250,8 +252,6 @@ class AttestationServer:
         self._stopping: Optional[asyncio.Event] = None
         self._registered_programs: Dict[str, object] = {}
         self._provisioned_devices: set = set()
-        #: CPU-config digest memoised once: every capture lookup shares it.
-        self._cpu_digest: Optional[str] = None
         #: Per-scheme (config, config digest), memoised: the canonical
         #: config hashing (asdict + JSON + SHA3) would otherwise run once
         #: per verified report.
@@ -357,64 +357,37 @@ class AttestationServer:
     ) -> Tuple[bytes, bytes]:
         """The expected ``(A, serialized L)`` for one challenged execution.
 
-        Warm path: a database hit straight from the event loop.  Cold path:
-        the reference is computed through the session pool (stored-capture
-        replay when the trace store has the benign execution, golden replay
-        otherwise) and stored under both database keyspaces on the loop.
+        The database's reference sequence, split so that only the pure
+        computation leaves the event loop: the lookup (primary key, then the
+        benign capture's trace key) runs on the loop, a cold reference is
+        computed on the executor through the session pool, and the store
+        (both keys) runs back on the loop.
         """
         program = self._program(program_id)
-        backend = get_scheme(scheme_name)
         config, cfg_digest = self._scheme_config(scheme_name)
+        capture = None
+
+        def resolve_capture():
+            nonlocal capture
+            capture = benign_capture(
+                self.trace_store, program_id, inputs, self.cpu_config)
+            return capture
+
         entry = self.database.lookup(
-            program, inputs, config, scheme_name, cfg_digest)
+            program, inputs, config, scheme_name, cfg_digest, resolve_capture)
         if entry is not None:
             return entry
 
-        capture = None
-        if self.trace_store is not None and backend.reference_requires_execution:
-            if self._cpu_digest is None:
-                from repro.service.tracestore import cpu_config_digest
-
-                self._cpu_digest = cpu_config_digest(self.cpu_config)
-            signature = execution_signature(
-                program_id, inputs, attack=None, cpu_digest=self._cpu_digest
-            )
-            capture = self.trace_store.get(signature)
-            if capture is not None and capture.replayable:
-                stored = self.database.lookup_trace(
-                    scheme_name, capture.trace_digest, config, cfg_digest)
-                if stored is not None:
-                    self.database.store(
-                        program, inputs, config, stored[0], stored[1],
-                        scheme_name)
-                    return stored
-
-        def compute() -> Tuple[bytes, bytes]:
-            if capture is not None and capture.replayable:
-                measured = backend.replay_measurement(
-                    program, capture.trace(), config=config,
-                    batch_size=self.cpu_config.monitor_batch_size,
-                )
-            else:
-                measured = backend.reference_measurement(
-                    program, list(inputs), config=config,
-                    cpu_config=self.cpu_config,
-                )
-            return measured.measurement, measured.metadata.to_bytes()
-
+        # The lookup resolved ``capture`` on its primary-key miss.
         key = MeasurementDatabase.key_for(
             program, inputs, config, scheme_name, cfg_digest)
-        measurement, metadata = await self.pool.reference(
-            key, scheme_name, compute)
-        # Back on the loop: store under both keyspaces.
+        entry = await self.pool.reference(key, scheme_name, partial(
+            compute_reference, program, inputs, scheme_name, config, capture,
+            self.cpu_config))
         self.database.store(
-            program, inputs, config, measurement, metadata, scheme_name)
-        if capture is not None and capture.replayable:
-            self.database.store_trace(
-                scheme_name, capture.trace_digest, config,
-                measurement, metadata, cfg_digest,
-            )
-        return measurement, metadata
+            program, inputs, config, entry[0], entry[1], scheme_name, capture,
+            cfg_digest)
+        return entry
 
     async def _verify_report(self, report: AttestationReport, device_id: str):
         """Verify one report against its reference in the shared database.

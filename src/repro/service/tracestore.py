@@ -38,16 +38,14 @@ import threading
 from dataclasses import asdict, dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.cpu.tracefile import dumps_trace, loads_trace, trace_digest
+from repro.cpu.tracefile import loads_trace, trace_digest
 from repro.service.fsutil import atomic_write_text
 
 #: CpuConfig fields that do not change the captured execution: the three
 #: execution engines are architecturally identical (pinned by
-#: tests/test_fastpath_equivalence.py), batching only affects monitor
-#: delivery granularity, and collect_trace is forced off during capture.
-_CPU_CONFIG_IGNORED_FIELDS = frozenset(
-    {"collect_trace", "monitor_batch_size", "engine"}
-)
+#: tests/test_fastpath_equivalence.py), and collect_trace is forced off
+#: during capture.
+_CPU_CONFIG_IGNORED_FIELDS = frozenset({"collect_trace", "engine"})
 
 #: Process-wide cache of deserialised traces, keyed by content digest.
 #: Parsing a v2 tracefile decodes every stored instruction word; one
@@ -108,8 +106,8 @@ def cpu_config_digest(cpu_config=None) -> str:
     """Canonical digest of the core-model parameters that shape an execution.
 
     Fields that cannot change the retired-instruction stream or the cycle
-    model (``engine``, ``monitor_batch_size``, ``collect_trace``) are
-    excluded, so switching the execution engine never invalidates captures.
+    model (``engine``, ``collect_trace``) are excluded, so switching the
+    execution engine never invalidates captures.
     """
     from repro.cpu.core import CpuConfig
 
@@ -155,6 +153,21 @@ def execution_signature(
     hasher.update(b"\x00")
     hasher.update(cpu_digest.encode("utf-8"))
     return hasher.hexdigest()
+
+
+def benign_capture(
+    trace_store: Optional["TraceStore"],
+    workload_name: str,
+    inputs: Sequence[int],
+    cpu_config=None,
+) -> Optional["CapturedExecution"]:
+    """The stored capture of ``workload_name`` run without attack on
+    ``inputs``, or None (also without a store): what a reference describes
+    and what a benign prover replays."""
+    if trace_store is None:
+        return None
+    return trace_store.get(execution_signature(
+        workload_name, inputs, attack=None, cpu_config=cpu_config))
 
 
 @dataclass(frozen=True)
@@ -354,26 +367,6 @@ class TraceStore:
             instructions=instructions,
             cycles=cycles,
             replayable=replayable,
-        )
-
-    def put_trace(
-        self,
-        signature: str,
-        trace,
-        exit_code: int,
-        output: str,
-        instructions: int,
-        cycles: int,
-    ) -> CapturedExecution:
-        """Serialise a live :class:`ControlFlowTrace` and store it."""
-        return self.put_bytes(
-            signature,
-            dumps_trace(trace),
-            exit_code=exit_code,
-            output=output,
-            instructions=instructions,
-            cycles=cycles,
-            replayable=getattr(trace, "replayable", True),
         )
 
     # ------------------------------------------------------------ reporting

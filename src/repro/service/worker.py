@@ -285,9 +285,7 @@ def execute_attest_job(
             stats = {}
     else:
         measured = scheme.replay_measurement(
-            program, capture.trace(), config=config,
-            batch_size=(cpu_config or CpuConfig()).monitor_batch_size,
-        )
+            program, capture.trace(), config=config)
         measurement_bytes = measured.measurement
         metadata_bytes = measured.metadata.to_bytes()
         metadata = LazyLoopMetadata(metadata_bytes)

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -160,40 +162,49 @@ class TestServeAndRemote:
 
     def test_serve_and_attest_remote_end_to_end(self, tmp_path, capsys):
         """The CLI pair, driven in-process: serve in a thread, attest all
-        three schemes remotely, shut down over the wire."""
+        three schemes remotely, shut down over the wire -- then restart on
+        the saved database, where every reference is a hit."""
         import os
         import socket
         import threading
         import time
 
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-        probe.close()
         database = str(tmp_path / "measurements.json")
 
-        serve_rc = []
-        thread = threading.Thread(target=lambda: serve_rc.append(main([
-            "serve", "--port", str(port), "--allow-shutdown",
-            "--database", database,
-        ])))
-        thread.start()
-        for _ in range(100):
-            try:
-                socket.create_connection(("127.0.0.1", port), timeout=0.2).close()
-                break
-            except OSError:
-                time.sleep(0.05)
+        def serve_and_attest():
+            probe = socket.socket()
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+            probe.close()
+            serve_rc = []
+            thread = threading.Thread(target=lambda: serve_rc.append(main([
+                "serve", "--port", str(port), "--allow-shutdown",
+                "--database", database,
+            ])))
+            thread.start()
+            for _ in range(100):
+                try:
+                    socket.create_connection(
+                        ("127.0.0.1", port), timeout=0.2).close()
+                    break
+                except OSError:
+                    time.sleep(0.05)
 
-        rc = main(["attest-remote", "--port", str(port), "--provers", "2",
-                   "--rounds", "3", "--scheme", "lofat,cflat,static",
-                   "--workload", "figure4_loop", "--batch", "3",
-                   "--shutdown"])
-        thread.join(timeout=10)
-        assert rc == 0
-        assert serve_rc == [0]
-        out = capsys.readouterr().out
-        assert "reports      : 6 (6 accepted, 0 rejected)" in out
-        assert "listening on 127.0.0.1:%d" % port in out
-        assert "0 rejected" in out
+            rc = main(["attest-remote", "--port", str(port), "--provers", "2",
+                       "--rounds", "3", "--scheme", "lofat,cflat,static",
+                       "--workload", "figure4_loop", "--batch", "3",
+                       "--shutdown"])
+            thread.join(timeout=10)
+            assert rc == 0
+            assert serve_rc == [0]
+            out = capsys.readouterr().out
+            assert "reports      : 6 (6 accepted, 0 rejected)" in out
+            assert "listening on 127.0.0.1:%d" % port in out
+            assert "0 rejected" in out
+            return out
+
+        cold = serve_and_attest()
         assert os.path.exists(database)  # saved (atomically) at shutdown
+        assert "measurement db: 3 entries" in cold
+        warm = serve_and_attest()
+        assert re.search(r"measurement db: .* hits / 0 misses", warm)

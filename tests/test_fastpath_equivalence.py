@@ -150,9 +150,12 @@ class TestFastPathFallback:
         assert legacy.cycles == default.cycles
         assert legacy.output == default.output
 
-    def test_raising_batch_monitor_does_not_duplicate_delivery(self):
+    def test_raising_batch_monitor_does_not_duplicate_delivery(
+            self, monkeypatch):
         """If a monitor raises mid-flush, earlier monitors in the same
         flush must not receive the batch a second time from cleanup."""
+        monkeypatch.setattr("repro.cpu.core.MONITOR_BATCH_SIZE", 4)
+
         class Recorder:
             def __init__(self, explode=False):
                 self.records = []
@@ -169,7 +172,7 @@ class TestFastPathFallback:
         workload = get_workload("figure4_loop")
         good, bad = Recorder(), Recorder(explode=True)
         cpu = Cpu(workload.build(), inputs=list(workload.inputs),
-                  config=CpuConfig(collect_trace=False, monitor_batch_size=4))
+                  config=CpuConfig(collect_trace=False))
         cpu.attach_monitor(good.observe)
         cpu.attach_monitor(bad.observe)
         with pytest.raises(RuntimeError, match="monitor failure"):

@@ -5,7 +5,8 @@ import pytest
 from repro.attestation import Prover, Verifier
 from repro.lofat.config import LoFatConfig
 from repro.lofat.engine import attest_execution
-from repro.service import MeasurementDatabase, config_digest
+from repro.schemes import get_scheme
+from repro.service import MeasurementDatabase
 from repro.workloads import get_workload
 
 
@@ -32,6 +33,7 @@ class TestKeying:
                MeasurementDatabase.key_for(other, (), None)
 
     def test_config_digest_is_construction_independent(self):
+        config_digest = get_scheme("lofat").config_digest
         assert config_digest(LoFatConfig()) == config_digest(LoFatConfig())
         assert config_digest(LoFatConfig()) != \
                config_digest(LoFatConfig(counter_width_bits=16))

@@ -36,8 +36,13 @@ from repro.service.client import (
     SimulatedProver,
     run_load,
 )
+from repro.service.database import MeasurementDatabase
 from repro.service.server import AttestationServer
-from repro.service.tracestore import TraceStore, execution_signature
+from repro.service.tracestore import (
+    TraceStore,
+    benign_capture,
+    execution_signature,
+)
 from repro.service.worker import execute_capture_job
 from repro.workloads import get_workload
 
@@ -461,6 +466,65 @@ class TestVerification:
         stats = serve(scenario)
         assert stats["reports_verified"] == 1
         assert "database" in stats and "session_pool" in stats
+
+
+class TestReferenceParity:
+    """The runner's ``lookup_or_compute`` and the server's
+    ``_expected_measurement`` run one reference sequence: the same
+    ``(A, L)`` and the same hit/miss accounting, request by request."""
+
+    #: (inputs, benign capture stored?) in request order: cold without a
+    #: capture; cold with a replayable capture; a primary miss served from
+    #: the trace keyspace (figure4_loop never reads the extra input, so the
+    #: trace digest is that of (5,)); primary warm.
+    REQUESTS = [((4,), False), ((5,), True), ((5, 7), True), ((5,), True)]
+    #: Cumulative (hits, misses, entries, trace entries) after each request.
+    EXPECTED = [(0, 1, 1, 0), (0, 2, 2, 1), (1, 2, 3, 1), (2, 2, 3, 1)]
+
+    @pytest.fixture
+    def store(self):
+        store = TraceStore()
+        for inputs, captured in self.REQUESTS:
+            if captured:
+                signature = execution_signature(WORKLOAD, inputs)
+                response = execute_capture_job(
+                    (signature, WORKLOAD, inputs, None))
+                assert response.replayable
+                store.put_bytes(
+                    signature, response.trace_bytes, response.exit_code,
+                    response.output, response.instructions, response.cycles,
+                    response.replayable)
+        return store
+
+    @staticmethod
+    def _step(entry, database):
+        stats = database.stats()
+        return (tuple(entry), (stats["hits"], stats["misses"],
+                               stats["entries"], stats["trace_entries"]))
+
+    def test_runner_and_server_resolve_references_identically(self, store):
+        database = MeasurementDatabase()
+        program = get_workload(WORKLOAD).build()
+        runner_steps = []
+        for inputs, _ in self.REQUESTS:
+            measurement, metadata, _ = database.lookup_or_compute(
+                program, inputs,
+                capture=benign_capture(store, WORKLOAD, inputs))
+            runner_steps.append(self._step((measurement, metadata), database))
+
+        server = AttestationServer(trace_store=store, enforce_policies=False)
+
+        async def requests():
+            steps = []
+            for inputs, _ in self.REQUESTS:
+                entry = await server._expected_measurement(
+                    "lofat", WORKLOAD, inputs)
+                steps.append(self._step(entry, server.database))
+            return steps
+        server_steps = asyncio.run(requests())
+
+        assert server_steps == runner_steps
+        assert [counts for _, counts in runner_steps] == self.EXPECTED
 
 
 class TestVerifierChallengeWithdrawal:

@@ -265,6 +265,56 @@ class TestCampaignLevelEquivalence:
             CampaignRunner().run(matrix_spec, pipeline="warp")
 
 
+class TestRedirectedCaptures:
+    """A pre-hook redirect retires no record, so a capture of a redirected
+    run cannot be replayed in batches; every engine must say so."""
+
+    @pytest.fixture
+    def redirect_attack(self):
+        from repro.attacks.injector import (
+            AttackScenario,
+            ControlFlowRedirect,
+            register_scenario,
+            unregister_attack,
+        )
+
+        def corruptions(program):
+            # The odd-iteration arm jumps back into the setup block, just
+            # past the input read: the loop restarts from i = 0.
+            return [ControlFlowRedirect(
+                trigger_pc=program.symbols["else_block"],
+                target=program.symbols["_start"] + 8)]
+
+        name = register_scenario(AttackScenario(
+            name="test_redirect_to_setup",
+            description="else arm redirected into the setup block",
+            attack_class=3,
+            workload_name="figure4_loop",
+            build_corruptions=corruptions,
+            challenge_inputs=[6],
+        ))
+        yield name
+        unregister_attack(name)
+
+    @pytest.mark.parametrize("engine", ["legacy", "fast", "compiled"])
+    def test_redirected_capture_is_not_replayable(self, redirect_attack,
+                                                  engine):
+        capture = execute_capture_job(
+            ("s", "figure4_loop", (6,), redirect_attack),
+            cpu_config=CpuConfig(engine=engine))
+        assert capture.replayable is False
+
+        spec = CampaignSpec(
+            name="redirect", workloads=[WorkloadSelection("figure4_loop")],
+            schemes=["lofat", "cflat"], attacks=[redirect_attack],
+            engine=engine,
+        )
+        live = CampaignRunner().run(spec, pipeline="live")
+        clear_replay_cache()
+        captured = CampaignRunner().run(spec, pipeline="capture")
+        assert captured.identities() == live.identities()
+
+
 class TestTraceDigestStability:
     def test_capture_digest_deterministic(self):
         first = execute_capture_job(("s", "figure4_loop", (5,), None))

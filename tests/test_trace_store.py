@@ -41,8 +41,7 @@ class TestExecutionSignature:
         base = execution_signature("figure4_loop", (5,), None)
         assert execution_signature(
             "figure4_loop", (5,), None,
-            cpu_config=CpuConfig(engine="legacy", collect_trace=True,
-                                 monitor_batch_size=7)) == base
+            cpu_config=CpuConfig(engine="legacy", collect_trace=True)) == base
 
     def test_cpu_config_digest_ignores_pipeline_fields(self):
         assert cpu_config_digest(CpuConfig()) == \
