@@ -1,10 +1,12 @@
 """E14 -- Attestation server throughput vs concurrent prover connections.
 
 The verifier daemon (``repro serve``) runs as a real subprocess -- its own
-Python interpreter, its own event loop -- and the load generator
-(:func:`repro.service.client.run_load`) drives N concurrent simulated
-provers against it over TCP.  Provers replay captured executions from a
-shared :class:`TraceStore` (the capture-once pipeline over the wire) and
+Python interpreter, its own event loop -- and the fleet load generator
+(:func:`repro.service.loadgen.run_fleet_load`) drives N concurrent
+simulated provers against it over TCP, one device per connection on
+average and each connection's share of the reports as its mean session
+length.  Provers replay captured executions from a shared
+:class:`TraceStore` (the capture-once pipeline over the wire) and
 are *paced*: each round charges ``PACE_MS`` of simulated device latency,
 standing in for the embedded core's execution and link time that an
 unpaced replaying prover would answer thousands of times faster than.
@@ -30,7 +32,8 @@ import sys
 import pytest
 
 from repro.analysis.report import format_table
-from repro.service.client import AttestationClient, run_load
+from repro.service.client import AttestationClient
+from repro.service.loadgen import run_fleet_load
 from repro.service.tracestore import TraceStore, execution_signature
 from repro.service.worker import execute_capture_job
 from repro.workloads import get_workload
@@ -83,60 +86,73 @@ def _start_server(trace_dir: str):
     return process, int(match.group(1))
 
 
-def _measure_point(port, store, provers: int, pace_ms: float = PACE_MS) -> float:
-    """Best-of-N steady-state reports/sec for one connection count."""
-    rounds = max(1, TOTAL_REPORTS // provers)
-    best = 0.0
+def _fleet_load(port, trace_dir, connections: int, reports: int,
+                pace_ms: float = PACE_MS, warmup: bool = False):
+    """One fleet-load run: ``connections`` devices, each connection's share
+    of ``reports`` as its mean session length."""
+    return run_fleet_load(
+        "127.0.0.1", port, trace_dir=trace_dir,
+        devices=connections, connections=connections, reports=reports,
+        session_rounds=max(1, reports // connections),
+        schemes=(SCHEME,), workloads=(WORKLOAD,),
+        warmup=warmup, pace_seconds=pace_ms / 1000.0)
+
+
+def _measure_point(port, trace_dir, connections: int,
+                   pace_ms: float = PACE_MS):
+    """Best-of-N steady-state (reports/sec, sessions) for one connection
+    count."""
+    rounds = max(1, TOTAL_REPORTS // connections)
+    best = (0.0, 0)
     for _ in range(REPEATS):
-        load = asyncio.run(run_load(
-            "127.0.0.1", port, provers=provers, rounds=rounds,
-            schemes=(SCHEME,), workloads=(WORKLOAD,), trace_store=store,
-            warmup=False, pace_seconds=pace_ms / 1000.0))
+        load = _fleet_load(port, trace_dir, connections,
+                           rounds * connections, pace_ms)
         assert load.ok, load.rejections
         assert load.replayed == load.reports  # no prover re-simulated
-        best = max(best, load.reports_per_second)
+        best = max(best, (load.reports_per_second, load.sessions))
     return best
 
 
 def test_e14_server_throughput_scales_with_connections(
         benchmark, report_writer, tmp_path):
-    store = _build_capture_store(str(tmp_path / "traces"))
-    process, port = _start_server(str(tmp_path / "traces"))
+    trace_dir = str(tmp_path / "traces")
+    _build_capture_store(trace_dir)
+    process, port = _start_server(trace_dir)
     try:
         # One warm pass: the server computes and caches the reference (from
         # the stored trace), the client populates its replay cache.
-        warm = asyncio.run(run_load(
-            "127.0.0.1", port, provers=1, rounds=3,
-            schemes=(SCHEME,), workloads=(WORKLOAD,), trace_store=store))
+        warm = _fleet_load(port, trace_dir, connections=1, reports=3,
+                         warmup=True)
         assert warm.ok
 
         # Raw wire throughput (no pacing, one connection): the protocol
         # floor the paced curve sits on.
-        wire_rate = _measure_point(port, store, provers=1, pace_ms=0.0)
+        wire_rate, wire_sessions = _measure_point(
+            port, trace_dir, connections=1, pace_ms=0.0)
 
         rates = {}
         rows = []
-        for provers in CONNECTION_COUNTS:
-            rate = _measure_point(port, store, provers)
-            rates[provers] = rate
+        for connections in CONNECTION_COUNTS:
+            rate, sessions = _measure_point(port, trace_dir, connections)
+            rates[connections] = rate
             rows.append({
-                "connections": provers,
-                "rounds_per_prover": max(1, TOTAL_REPORTS // provers),
+                "connections": connections,
+                "rounds_per_prover": max(1, TOTAL_REPORTS // connections),
+                "sessions": sessions,
                 "reports_per_sec": round(rate, 1),
                 "scaling_vs_1": round(rate / rates[CONNECTION_COUNTS[0]], 2),
             })
         rows.append({
             "connections": "1 (unpaced wire)",
             "rounds_per_prover": TOTAL_REPORTS,
+            "sessions": wire_sessions,
             "reports_per_sec": round(wire_rate, 1),
             "scaling_vs_1": "-",
         })
 
         # Timed kernel for the benchmark record: one 8-prover paced burst.
-        benchmark(lambda: asyncio.run(run_load(
-            "127.0.0.1", port, provers=8, rounds=4,
-            schemes=(SCHEME,), workloads=(WORKLOAD,), trace_store=store,
-            warmup=False, pace_seconds=PACE_MS / 1000.0)))
+        benchmark(lambda: _fleet_load(port, trace_dir, connections=8,
+                                      reports=32))
 
         # Clean shutdown over the wire (the CI smoke's exit path too).
         async def shutdown():
@@ -148,8 +164,8 @@ def test_e14_server_throughput_scales_with_connections(
 
         table = format_table(
             rows,
-            columns=["connections", "rounds_per_prover", "reports_per_sec",
-                     "scaling_vs_1"],
+            columns=["connections", "rounds_per_prover", "sessions",
+                     "reports_per_sec", "scaling_vs_1"],
             title="E14: attestation server throughput vs concurrent provers "
                   "(%s/%s, trace-replay provers paced at %.1f ms/round)"
                   % (SCHEME, WORKLOAD, PACE_MS),

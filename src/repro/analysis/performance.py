@@ -16,10 +16,11 @@ For every workload we run the *same* execution three ways:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.schemes.cflat import CFlatAttestation, CFlatCostModel
+from repro.schemes import get_scheme
+from repro.schemes.cflat import CFlatCostModel
 from repro.cpu.core import Cpu, CpuConfig
 from repro.lofat.config import LoFatConfig
 from repro.lofat.engine import LoFatEngine
@@ -106,8 +107,7 @@ def compare_workload(
     measurement = engine.finalize()
 
     # 3. C-FLAT: software attestation cost model over the same trace.
-    cflat = CFlatAttestation(cflat_cost)
-    cflat_result = cflat.attest(program, baseline)
+    cflat = get_scheme("cflat").cost_model(baseline.trace, cflat_cost)
 
     stats = measurement.stats
     return WorkloadComparison(
@@ -116,7 +116,7 @@ def compare_workload(
         baseline_cycles=baseline.cycles,
         control_flow_events=baseline.trace.control_flow_events,
         lofat_cycles=lofat_result.cycles,
-        cflat_cycles=cflat_result.attested_cycles,
+        cflat_cycles=baseline.cycles + cflat.overhead_cycles,
         lofat_internal_latency=stats["internal_latency_cycles"],
         pairs_hashed=stats["pairs_hashed"],
         pairs_compressed=stats["pairs_compressed"],

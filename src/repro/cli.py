@@ -52,10 +52,11 @@ the CLI exposes the most common interactions without writing any Python:
   asyncio TCP server speaking the length-prefixed challenge/report framing
   (see ``docs/SERVER.md``), verifying against a shared measurement
   database, e.g. ``repro serve --port 4711 --database measurements.json``.
-* ``repro attest-remote`` -- drive N concurrent simulated provers against
-  a running server and print the throughput, e.g. ``repro attest-remote
-  --port 4711 --provers 8 --rounds 20 --scheme lofat,cflat,static``.
-  Exits nonzero if any (benign) report is rejected.
+* ``repro fleet-load`` -- drive simulated device traffic against a running
+  server (or fleet) and print the throughput, e.g. ``repro fleet-load
+  --port 4711 --connections 8 --reports 160 --devices 8 --scheme
+  lofat,cflat,static``.  Exits nonzero if any benign report is rejected
+  or any injected stale/duplicate report is accepted.
 """
 
 from __future__ import annotations
@@ -877,72 +878,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_attest_remote(args: argparse.Namespace) -> int:
-    """Drive simulated provers against a running attestation server."""
-    from repro.service.client import AttestationClient, run_load
-
-    schemes = [name.strip() for name in args.scheme.split(",") if name.strip()]
-    workloads = [name.strip() for name in args.workload.split(",")
-                 if name.strip()]
-    if not schemes or not workloads:
-        print("error: --scheme and --workload need at least one name",
-              file=sys.stderr)
-        return 2
-    for name in schemes:
-        if name not in scheme_names():
-            print("error: unknown scheme %r" % name, file=sys.stderr)
-            return 2
-    trace_store = None
-    if args.trace_dir is not None:
-        trace_store = TraceStore(directory=args.trace_dir)
-
-    async def _drive():
-        report = await run_load(
-            args.host, args.port,
-            provers=args.provers, rounds=args.rounds,
-            schemes=schemes, workloads=workloads,
-            trace_store=trace_store, cpu_config=_cpu_config(args),
-            batch=args.batch, pace_seconds=args.pace_ms / 1000.0,
-        )
-        if args.shutdown:
-            client = AttestationClient(args.host, args.port, "prover-admin")
-            await client.connect()
-            await client.shutdown_server()
-        return report
-
-    from repro.service.client import RemoteAttestationError
-
-    try:
-        report = asyncio.run(_drive())
-    except (ConnectionError, OSError) as error:
-        print("error: cannot reach server at %s:%d: %s"
-              % (args.host, args.port, error), file=sys.stderr)
-        return 2
-    except RemoteAttestationError as error:
-        # The server answered with an ERROR frame (unknown program,
-        # shutdown refused, protocol violation): a clean CLI error, not a
-        # traceback.
-        print("error: server rejected the session: %s" % error,
-              file=sys.stderr)
-        return 2
-
-    print("provers      : %d" % report.provers)
-    print("rounds each  : %d (batch %d)" % (report.rounds, args.batch))
-    print("reports      : %d (%d accepted, %d rejected)"
-          % (report.reports, report.accepted, report.rejected))
-    print("prover side  : %d trace replays, %d live executions"
-          % (report.replayed, report.executed))
-    for scheme, count in sorted(report.by_scheme.items()):
-        print("  %-8s %d reports" % (scheme, count))
-    print("elapsed      : %.3f s" % report.elapsed_seconds)
-    print("throughput   : %.1f reports/s" % report.reports_per_second)
-    if report.rejections:
-        for scheme, workload, reason in report.rejections[:10]:
-            print("rejected     : %s/%s (%s)" % (scheme, workload, reason),
-                  file=sys.stderr)
-    return 0 if report.ok else 1
-
-
 def _cmd_fleet_load(args: argparse.Namespace) -> int:
     """Drive the fleet load generator against a running verifier (fleet)."""
     from repro.service.client import AttestationClient, RemoteAttestationError
@@ -972,6 +907,7 @@ def _cmd_fleet_load(args: argparse.Namespace) -> int:
         stale_fraction=args.stale,
         duplicate_fraction=args.duplicate,
         pace_seconds=args.pace_ms / 1000.0,
+        batch=args.batch,
     )
     try:
         spec.validate()
@@ -1011,6 +947,8 @@ def _cmd_fleet_load(args: argparse.Namespace) -> int:
           % (report.stale_injected, report.stale_rejected))
     print("duplicate    : %d injected, %d rejected"
           % (report.duplicate_injected, report.duplicate_rejected))
+    print("prover side  : %d trace replays, %d live executions"
+          % (report.replayed, report.executed))
     for scheme, count in sorted(report.by_scheme.items()):
         print("  %-8s %d reports" % (scheme, count))
     print("elapsed      : %.3f s" % report.elapsed_seconds)
@@ -1311,43 +1249,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "a deterministic readiness signal for scripts")
     add_engine_options(serve, what="reference computations")
 
-    attest_remote = subparsers.add_parser(
-        "attest-remote",
-        help="drive N concurrent simulated provers against a running server",
-    )
-    attest_remote.add_argument("--host", default="127.0.0.1",
-                               help="server address (default: 127.0.0.1)")
-    attest_remote.add_argument("--port", type=int, default=4711,
-                               help="server port (default: 4711)")
-    attest_remote.add_argument("--provers", type=int, default=1, metavar="N",
-                               help="concurrent prover connections "
-                                    "(default: 1)")
-    attest_remote.add_argument("--rounds", type=int, default=1, metavar="R",
-                               help="attestation rounds per prover "
-                                    "(default: 1)")
-    attest_remote.add_argument("--batch", type=int, default=1, metavar="B",
-                               help="rounds pipelined per verification "
-                                    "session (default: 1 = unbatched)")
-    attest_remote.add_argument("--scheme", default="lofat", metavar="NAMES",
-                               help="comma-separated scheme names to cycle "
-                                    "through (default: lofat)")
-    attest_remote.add_argument("--workload", default="syringe_pump",
-                               metavar="NAMES",
-                               help="comma-separated workloads to attest "
-                                    "(default: syringe_pump)")
-    attest_remote.add_argument("--trace-dir", default=None, metavar="DIR",
-                               help="replay stored captures instead of "
-                                    "re-simulating prover executions")
-    attest_remote.add_argument("--pace-ms", type=float, default=0.0,
-                               metavar="MS",
-                               help="simulated device latency per round "
-                                    "(closed-loop load; default 0 = "
-                                    "unpaced wire throughput)")
-    attest_remote.add_argument("--shutdown", action="store_true",
-                               help="send a SHUTDOWN frame after the run "
-                                    "(server must allow it)")
-    add_engine_options(attest_remote, what="live prover executions")
-
     fleet_load = subparsers.add_parser(
         "fleet-load",
         help="generate realistic fleet traffic (churn, heavy-tailed rates, "
@@ -1382,6 +1283,9 @@ def build_parser() -> argparse.ArgumentParser:
                             metavar="R",
                             help="mean rounds per connection before the "
                                  "device churns (default: 4)")
+    fleet_load.add_argument("--batch", type=int, default=1, metavar="B",
+                            help="rounds pipelined per verification "
+                                 "session (default: 1 = unbatched)")
     fleet_load.add_argument("--storms", type=int, default=0, metavar="N",
                             help="synchronized reconnect storms during the "
                                  "run (default: 0)")
@@ -1430,7 +1334,6 @@ _COMMANDS = {
     "workloads": _cmd_workloads,
     "trace": _cmd_trace,
     "serve": _cmd_serve,
-    "attest-remote": _cmd_attest_remote,
     "fleet-load": _cmd_fleet_load,
 }
 

@@ -107,11 +107,6 @@ class ExecutionResult:
     cycles: int
     registers: List[int] = field(default_factory=list)
 
-    @property
-    def runtime_us(self) -> float:
-        """Wall-clock run time implied by the cycle count (at the model clock)."""
-        return self.cycles  # filled in properly by Cpu.run (per-config clock)
-
 
 class Cpu:
     """The embedded core: fetch/decode/execute loop plus the cost model.

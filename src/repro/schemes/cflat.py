@@ -127,13 +127,16 @@ class CFlatAttestation:
         return hasher.digest()
 
     def attest(self, program: Program, result: ExecutionResult) -> CFlatResult:
-        """Apply the cost model to an existing (uninstrumented) execution."""
-        events = result.trace.control_flow_events
-        overhead = self.cost_model.overhead_cycles(events)
+        """Apply the cost model to an existing (uninstrumented) execution.
+
+        The cycle accounting is :meth:`CFlatScheme.cost_model`'s, loop-event
+        discount included.
+        """
+        cost = CFlatScheme().cost_model(result.trace, self.cost_model)
         return CFlatResult(
             baseline_cycles=result.cycles,
-            attested_cycles=result.cycles + overhead,
-            control_flow_events=events,
+            attested_cycles=result.cycles + cost.overhead_cycles,
+            control_flow_events=cost.control_flow_events,
             measurement=self.measure_trace(result.trace),
             instrumented_instructions=self.instrumented_instruction_count(program),
         )

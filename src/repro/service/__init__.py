@@ -21,11 +21,11 @@ executions at once (see ``docs/ARCHITECTURE.md`` for the layer diagram):
   capture/attest fan-out, central verification, recombined results.
 * :mod:`repro.service.presets` -- every benchmark experiment (E1-E9, plus
   the E11 scheme matrix) expressed as a campaign.
-* :mod:`repro.service.server` / :mod:`repro.service.client` -- the
-  networked deployment: an asyncio TCP verifier daemon speaking the
-  length-prefixed challenge/report framing
-  (:mod:`repro.attestation.framing`), and the concurrent simulated-prover
-  client/load generator behind ``repro serve`` / ``repro attest-remote``
+* :mod:`repro.service.server` / :mod:`repro.service.client` /
+  :mod:`repro.service.loadgen` -- the networked deployment: an asyncio TCP
+  verifier daemon speaking the length-prefixed challenge/report framing
+  (:mod:`repro.attestation.framing`), the simulated-prover client, and the
+  fleet load generator behind ``repro serve`` / ``repro fleet-load``
   (see ``docs/SERVER.md``).
 
 Campaigns are scheme-parameterized (see :mod:`repro.schemes`): one spec can

@@ -19,17 +19,16 @@ Two interaction shapes:
   first verdict, amortising the per-round-trip latency.  Frame order is
   preserved both ways, so verdict *k* answers report *k*.
 
-:func:`run_load` is the load generator behind ``repro attest-remote`` and
-the E14 benchmark: N concurrent prover connections, each running R rounds
-across the requested schemes, aggregated into one throughput report.
+The load generator that drives many of these clients at once -- device
+churn, batching, pacing, injected stale and duplicate reports -- is
+:mod:`repro.service.loadgen` (``repro fleet-load``).
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.attestation.framing import (
@@ -338,123 +337,3 @@ class AttestationClient:
         await write_frame(self._writer, FrameType.STATS_REQUEST)
         _, payload = await self._expect(FrameType.STATS)
         return json.loads(payload.decode("utf-8"))
-
-
-@dataclass
-class LoadReport:
-    """Aggregated result of one :func:`run_load` campaign."""
-
-    provers: int
-    rounds: int
-    reports: int = 0
-    accepted: int = 0
-    rejected: int = 0
-    replayed: int = 0
-    executed: int = 0
-    elapsed_seconds: float = 0.0
-    by_scheme: Dict[str, int] = field(default_factory=dict)
-    rejections: List[Tuple[str, str, str]] = field(default_factory=list)
-
-    @property
-    def reports_per_second(self) -> float:
-        if self.elapsed_seconds <= 0:
-            return 0.0
-        return self.reports / self.elapsed_seconds
-
-    @property
-    def ok(self) -> bool:
-        """True when every (benign) report was accepted."""
-        return self.reports > 0 and self.rejected == 0
-
-    def as_dict(self) -> dict:
-        return {
-            "provers": self.provers,
-            "rounds": self.rounds,
-            "reports": self.reports,
-            "accepted": self.accepted,
-            "rejected": self.rejected,
-            "replayed": self.replayed,
-            "executed": self.executed,
-            "elapsed_seconds": self.elapsed_seconds,
-            "reports_per_second": self.reports_per_second,
-            "by_scheme": dict(self.by_scheme),
-        }
-
-
-async def run_load(
-    host: str,
-    port: int,
-    provers: int = 1,
-    rounds: int = 1,
-    schemes: Sequence[str] = ("lofat",),
-    workloads: Sequence[str] = ("syringe_pump",),
-    trace_store: Optional[TraceStore] = None,
-    cpu_config: Optional[CpuConfig] = None,
-    batch: int = 1,
-    warmup: bool = True,
-    pace_seconds: float = 0.0,
-) -> LoadReport:
-    """Drive ``provers`` concurrent simulated provers against one server.
-
-    Each prover opens its own connection (device ids ``prover-0`` ..
-    ``prover-N-1``) and performs ``rounds`` attestations, cycling through
-    the ``schemes`` x ``workloads`` product.  ``batch > 1`` pipelines that
-    many rounds per verification session (:meth:`AttestationClient.attest_batch`).
-    With ``warmup`` (default) one unmeasured round per (scheme, workload)
-    pair runs first so steady-state throughput is measured rather than
-    cold-cache reference computation.  All provers share one
-    ``trace_store`` -- captures are read-only during load generation.
-    ``pace_seconds`` charges each prover that much simulated device latency
-    per round (see :class:`AttestationClient`); with pacing the run is a
-    closed-loop load test -- throughput comes from how many in-flight
-    devices the server sustains -- while ``0`` measures raw wire throughput.
-    """
-    plan = [(workload, None, scheme)
-            for scheme in schemes for workload in workloads]
-    if not plan:
-        raise ValueError("run_load needs at least one scheme and one workload")
-    report = LoadReport(provers=provers, rounds=rounds)
-
-    if warmup:
-        prover = SimulatedProver(
-            device_id="prover-warmup", trace_store=trace_store,
-            cpu_config=cpu_config)
-        client = AttestationClient(host, port, "prover-warmup", prover)
-        await client.connect()
-        for workload, inputs, scheme in plan:
-            await client.attest_round(workload, inputs, scheme)
-        await client.close()
-
-    async def one_prover(index: int) -> None:
-        prover = SimulatedProver(
-            device_id="prover-%d" % index, trace_store=trace_store,
-            cpu_config=cpu_config)
-        client = AttestationClient(host, port, prover.device_id, prover,
-                                   pace_seconds=pace_seconds)
-        await client.connect()
-        try:
-            pending = [plan[(index + i) % len(plan)] for i in range(rounds)]
-            while pending:
-                chunk, pending = pending[:max(1, batch)], pending[max(1, batch):]
-                if len(chunk) == 1 and batch <= 1:
-                    results = [await client.attest_round(*chunk[0])]
-                else:
-                    results = await client.attest_batch(chunk)
-                for (workload, _, scheme), (_, verdict) in zip(chunk, results):
-                    report.reports += 1
-                    report.by_scheme[scheme] = report.by_scheme.get(scheme, 0) + 1
-                    if verdict.accepted:
-                        report.accepted += 1
-                    else:
-                        report.rejected += 1
-                        report.rejections.append(
-                            (scheme, workload, verdict.reason))
-        finally:
-            report.replayed += prover.replayed
-            report.executed += prover.executed
-            await client.close()
-
-    started = time.perf_counter()
-    await asyncio.gather(*(one_prover(i) for i in range(provers)))
-    report.elapsed_seconds = time.perf_counter() - started
-    return report

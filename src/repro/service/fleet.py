@@ -178,7 +178,6 @@ def _fleet_worker_main(
     cpu_config: Optional[CpuConfig],
     allow_shutdown: bool,
     session_limit: int,
-    enforce_policies: bool,
 ) -> None:
     """Entry point of one fleet worker process.
 
@@ -229,7 +228,6 @@ def _fleet_worker_main(
         cpu_config=cpu_config,
         allow_shutdown=allow_shutdown,
         session_limit=session_limit,
-        enforce_policies=enforce_policies,
         sock=sock,
         ready_file=_worker_ready_path(state_dir, index),
     )
@@ -307,7 +305,6 @@ class FleetServer:
         cpu_config: Optional[CpuConfig] = None,
         allow_shutdown: bool = False,
         session_limit: int = 4,
-        enforce_policies: bool = True,
         ready_file: Optional[str] = None,
         ready_timeout: float = 30.0,
     ) -> None:
@@ -323,7 +320,6 @@ class FleetServer:
         self.cpu_config = cpu_config
         self.allow_shutdown = allow_shutdown
         self.session_limit = session_limit
-        self.enforce_policies = enforce_policies
         self.ready_file = ready_file
         self.ready_timeout = ready_timeout
         self._processes: List[multiprocessing.process.BaseProcess] = []
@@ -388,7 +384,6 @@ class FleetServer:
                     self.cpu_config,
                     self.allow_shutdown,
                     self.session_limit,
-                    self.enforce_policies,
                 ),
             )
             process.start()

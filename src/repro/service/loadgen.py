@@ -1,8 +1,7 @@
 """Fleet load generator: realistic traffic from a simulated device fleet.
 
-:func:`repro.service.client.run_load` measures steady-state throughput from
-a fixed set of long-lived provers.  Real attestation fleets do not look
-like that: a verifier for a million devices sees
+The one load generator behind ``repro fleet-load`` and the E14/E18
+benchmarks.  A verifier for a million devices sees
 
 * **device churn** -- sessions are short; a connection serves a handful of
   reports for one device, closes, and the next connection is a different
@@ -26,10 +25,17 @@ Injected anomalies are accounted separately from benign traffic: the run is
 stale/duplicate was rejected -- the load generator doubles as a wire-level
 freshness check on the whole fleet.
 
+``batch > 1`` turns each session into batched verification sessions:
+rounds go out in chunks through :meth:`AttestationClient.attest_batch`
+(all challenge requests pipelined, then all reports), and every round of a
+chunk can still be picked for duplicate injection.
+
 ``processes > 1`` forks that many OS client processes, each driving its own
 slice of connections from its own event loop, so a multi-worker fleet can
 be saturated past a single client process's GIL ceiling.  Results merge
-into one :class:`FleetLoadReport`.
+into one :class:`FleetLoadReport`.  :func:`drive_fleet_load` is the
+coroutine each process runs; a caller already on an event loop (a test
+serving in-process) awaits it directly.
 """
 
 from __future__ import annotations
@@ -83,6 +89,8 @@ class FleetLoadSpec:
     duplicate_fraction: float = 0.0
     pace_seconds: float = 0.0
     warmup: bool = True
+    #: Rounds per verification session chunk; 1 sends each round on its own.
+    batch: int = 1
 
     def validate(self) -> None:
         if self.devices < 1:
@@ -93,6 +101,8 @@ class FleetLoadSpec:
             raise ValueError("need at least one client process")
         if self.reports < 1:
             raise ValueError("need at least one report")
+        if self.batch < 1:
+            raise ValueError("batch must be at least 1")
         if not self.schemes or not self.workloads:
             raise ValueError("need at least one scheme and one workload")
         for name, value in (("stale_fraction", self.stale_fraction),
@@ -119,6 +129,9 @@ class FleetLoadReport:
     duplicate_injected: int = 0
     duplicate_rejected: int = 0
     distinct_devices: int = 0
+    #: Prover-side work: reports answered by trace replay vs live execution.
+    replayed: int = 0
+    executed: int = 0
     elapsed_seconds: float = 0.0
     by_scheme: Dict[str, int] = field(default_factory=dict)
     rejections: List[Tuple[str, str, str]] = field(default_factory=list)
@@ -157,6 +170,8 @@ class FleetLoadReport:
         # Device draws in different processes may collide; summing is an
         # upper bound but distinct ids are what churn coverage cares about.
         self.distinct_devices += other.distinct_devices
+        self.replayed += other.replayed
+        self.executed += other.executed
         self.elapsed_seconds = max(self.elapsed_seconds, other.elapsed_seconds)
         for scheme, count in other.by_scheme.items():
             self.by_scheme[scheme] = self.by_scheme.get(scheme, 0) + count
@@ -178,6 +193,8 @@ class FleetLoadReport:
             "duplicate_injected": self.duplicate_injected,
             "duplicate_rejected": self.duplicate_rejected,
             "distinct_devices": self.distinct_devices,
+            "replayed": self.replayed,
+            "executed": self.executed,
             "elapsed_seconds": self.elapsed_seconds,
             "reports_per_second": self.reports_per_second,
             "by_scheme": dict(self.by_scheme),
@@ -255,26 +272,37 @@ async def _drive_connection(
         session_rounds = 1 + int(rng.expovariate(1.0 / max(1, spec.session_rounds)))
         abrupt_close = False
         try:
-            for round_index in range(session_rounds):
-                if not progress.take_round():
+            round_index = 0
+            while round_index < session_rounds:
+                chunk = []
+                while (len(chunk) < spec.batch and round_index < session_rounds
+                       and progress.take_round()):
+                    chunk.append(plan[
+                        (progress.issued + slot + round_index) % len(plan)])
+                    round_index += 1
+                if not chunk:
                     break
-                workload, inputs, scheme = plan[
-                    (progress.issued + slot + round_index) % len(plan)]
-                wire_report, verdict = await client.attest_round(
-                    workload, inputs, scheme)
-                report.reports += 1
-                report.by_scheme[scheme] = report.by_scheme.get(scheme, 0) + 1
-                if verdict.accepted:
-                    report.accepted += 1
+                if len(chunk) == 1:
+                    results = [await client.attest_round(*chunk[0])]
                 else:
-                    report.rejected_unexpected += 1
-                    report.rejections.append((scheme, workload, verdict.reason))
+                    results = await client.attest_batch(chunk)
+                for (workload, _, scheme), (wire_report, verdict) in zip(
+                        chunk, results):
+                    report.reports += 1
+                    report.by_scheme[scheme] = report.by_scheme.get(scheme, 0) + 1
+                    if verdict.accepted:
+                        report.accepted += 1
+                    else:
+                        report.rejected_unexpected += 1
+                        report.rejections.append(
+                            (scheme, workload, verdict.reason))
 
-                if rng.random() < spec.duplicate_fraction:
-                    report.duplicate_injected += 1
-                    duplicate = await client.submit_report(wire_report)
-                    if not duplicate.accepted and duplicate.reason == NONCE_REUSED:
-                        report.duplicate_rejected += 1
+                    if rng.random() < spec.duplicate_fraction:
+                        report.duplicate_injected += 1
+                        duplicate = await client.submit_report(wire_report)
+                        if (not duplicate.accepted
+                                and duplicate.reason == NONCE_REUSED):
+                            report.duplicate_rejected += 1
 
                 if progress.storms_due(storms_done):
                     storms_done += 1
@@ -303,20 +331,33 @@ async def _drive_connection(
                     await retry.close()
                 continue
         finally:
+            report.replayed += prover.replayed
+            report.executed += prover.executed
             await client.close(send_bye=not abrupt_close)
     report.storms_completed = max(report.storms_completed, storms_done)
 
 
-async def _drive_process(
-    process_index: int,
-    spec: FleetLoadSpec,
+async def drive_fleet_load(
     host: str,
     port: int,
-    trace_dir: Optional[str],
-    cpu_config: Optional[CpuConfig],
-    budget: int,
-    connections: int,
+    spec: FleetLoadSpec,
+    trace_dir: Optional[str] = None,
+    cpu_config: Optional[CpuConfig] = None,
+    process_index: int = 0,
+    budget: Optional[int] = None,
+    connections: Optional[int] = None,
 ) -> FleetLoadReport:
+    """Drive one client process's share of the fleet load on this loop.
+
+    The coroutine :func:`run_fleet_load` runs in each client process.
+    ``budget`` (benign reports) and ``connections`` default to the whole
+    spec; ``process_index`` picks the process's RNG streams, and only
+    process 0 runs the warmup.
+    """
+    if budget is None:
+        budget = spec.reports
+    if connections is None:
+        connections = spec.connections
     trace_store = None
     if trace_dir is not None:
         from repro.service.tracestore import TraceStore
@@ -361,9 +402,9 @@ async def _drive_process(
 def _process_entry(args: tuple) -> dict:
     (process_index, spec, host, port, trace_dir, cpu_config,
      budget, connections) = args
-    result = asyncio.run(_drive_process(
-        process_index, spec, host, port, trace_dir, cpu_config,
-        budget, connections))
+    result = asyncio.run(drive_fleet_load(
+        host, port, spec, trace_dir, cpu_config,
+        process_index, budget, connections))
     return result.as_dict()
 
 
@@ -373,7 +414,8 @@ def _report_from_dict(payload: dict) -> FleetLoadReport:
         "processes", "connections", "devices", "reports", "accepted",
         "rejected_unexpected", "sessions", "reconnects", "storms_completed",
         "stale_injected", "stale_rejected", "duplicate_injected",
-        "duplicate_rejected", "distinct_devices", "elapsed_seconds",
+        "duplicate_rejected", "distinct_devices", "replayed", "executed",
+        "elapsed_seconds",
     ):
         setattr(report, key, payload[key])
     report.by_scheme = dict(payload.get("by_scheme", {}))
@@ -412,9 +454,8 @@ def run_fleet_load(
     connections[0] += spec.connections % processes
 
     if processes == 1:
-        return asyncio.run(_drive_process(
-            0, spec, host, port, trace_dir, cpu_config,
-            per_process[0], connections[0]))
+        return asyncio.run(drive_fleet_load(
+            host, port, spec, trace_dir, cpu_config))
 
     method = ("fork" if "fork" in multiprocessing.get_all_start_methods()
               else "spawn")
@@ -437,6 +478,7 @@ __all__ = [
     "FleetLoadSpec",
     "NONCE_REUSED",
     "RemoteAttestationError",
+    "drive_fleet_load",
     "run_fleet_load",
     "sample_device",
 ]

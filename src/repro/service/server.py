@@ -206,11 +206,6 @@ class AttestationServer:
             :meth:`stop`).
         session_limit: per-scheme concurrent reference-session cap.
         max_frame_bytes: framing cap handed to :mod:`repro.attestation.framing`.
-        enforce_policies: install a :class:`StaticPolicy` for each program
-            when it is first registered (loaded from the shared database if
-            one was persisted there, derived from the program analysis
-            otherwise), so infeasible reports are rejected with
-            ``POLICY_VIOLATION`` before any reference is computed.
         sock: an already-bound socket to serve on instead of binding
             ``host:port``.  The fleet deployment uses this for both
             dispatcher modes: a per-worker ``SO_REUSEPORT`` socket, or one
@@ -231,7 +226,6 @@ class AttestationServer:
         allow_shutdown: bool = False,
         session_limit: int = 4,
         max_frame_bytes: int = MAX_FRAME_BYTES,
-        enforce_policies: bool = True,
         sock=None,
         ready_file: Optional[str] = None,
     ) -> None:
@@ -243,7 +237,6 @@ class AttestationServer:
         self.trace_store = trace_store
         self.cpu_config = cpu_config or CpuConfig()
         self.allow_shutdown = allow_shutdown
-        self.enforce_policies = enforce_policies
         self.max_frame_bytes = max_frame_bytes
         self.verifier = Verifier(cpu_config=self.cpu_config)
         self.pool = SchemeSessionPool(limit=session_limit)
@@ -317,8 +310,9 @@ class AttestationServer:
     def _program(self, program_id: str):
         """Resolve and lazily register ``program_id`` with the verifier.
 
-        With ``enforce_policies`` on, first registration also installs the
-        program's StaticPolicy: a policy persisted in the shared database
+        First registration also installs the program's StaticPolicy, so
+        infeasible reports are rejected with ``POLICY_VIOLATION`` before any
+        reference is computed: a policy persisted in the shared database
         wins (no dataflow passes run); otherwise the policy is derived from
         the analysis once and written back to the database so later server
         processes skip the derivation.
@@ -327,10 +321,9 @@ class AttestationServer:
         if program is None:
             program = get_workload(program_id).build()
             self.verifier.register_program(program_id, program)
-            if self.enforce_policies:
-                policy = self.database.lookup_policy(program.digest)
-                policy = self.verifier.install_policy(program_id, policy)
-                self.database.store_policy(policy)
+            policy = self.database.lookup_policy(program.digest)
+            policy = self.verifier.install_policy(program_id, policy)
+            self.database.store_policy(policy)
             self._registered_programs[program_id] = program
         return program
 

@@ -56,6 +56,16 @@ class TestWorkloadComparison:
         assert comparison.cflat_cycles - comparison.baseline_cycles == expected
         assert comparison.cflat_overhead > 0
 
+    def test_loop_event_discount_lowers_cflat_cycles(self):
+        # crc32 is loop-heavy: its backward transfers are the discounted
+        # events, so skipping their hash updates must show in E1's column.
+        workload = get_workload("crc32")
+        full = compare_workload(workload)
+        discounted = compare_workload(
+            workload, cflat_cost=CFlatCostModel(loop_event_discount=1.0))
+        assert discounted.baseline_cycles == full.baseline_cycles
+        assert discounted.cflat_cycles < full.cflat_cycles
+
     def test_row_structure(self):
         row = compare_workload(get_workload("auth_check")).as_row()
         for key in ("workload", "cycles", "cf_events", "lofat_overhead_%",

@@ -28,7 +28,7 @@ class TestEngineFlags:
         ["attest", "crc32"],
         ["campaign"],
         ["serve"],
-        ["attest-remote"],
+        ["fleet-load"],
         ["workloads"],
     ])
     def test_engine_flag_parses_everywhere(self, command):
@@ -139,31 +139,36 @@ class TestServeAndRemote:
         assert args.allow_shutdown is False
         assert args.session_limit == 4
 
-    def test_attest_remote_parser_defaults(self):
-        args = build_parser().parse_args(["attest-remote"])
-        assert (args.provers, args.rounds, args.batch) == (1, 1, 1)
+    def test_fleet_load_parser_defaults(self):
+        args = build_parser().parse_args(["fleet-load"])
+        assert (args.connections, args.reports, args.batch) == (8, 200, 1)
         assert args.scheme == "lofat"
         assert args.pace_ms == 0.0
         assert args.shutdown is False
 
-    def test_attest_remote_rejects_empty_scheme_list(self, capsys):
-        assert main(["attest-remote", "--scheme", ","]) == 2
+    def test_fleet_load_rejects_empty_scheme_list(self, capsys):
+        assert main(["fleet-load", "--scheme", ","]) == 2
         assert "at least one name" in capsys.readouterr().err
 
-    def test_attest_remote_rejects_unknown_scheme(self, capsys):
-        assert main(["attest-remote", "--scheme", "no-such-scheme"]) == 2
+    def test_fleet_load_rejects_unknown_scheme(self, capsys):
+        assert main(["fleet-load", "--scheme", "no-such-scheme"]) == 2
         assert "unknown scheme" in capsys.readouterr().err
 
-    def test_attest_remote_reports_unreachable_server(self, capsys):
+    def test_fleet_load_rejects_zero_batch(self, capsys):
+        assert main(["fleet-load", "--batch", "0"]) == 2
+        assert "batch must be at least 1" in capsys.readouterr().err
+
+    def test_fleet_load_reports_unreachable_server(self, capsys):
         # Port 1 on localhost is never listening; the CLI must turn the
         # connection failure into exit code 2, not a traceback.
-        assert main(["attest-remote", "--port", "1", "--rounds", "1"]) == 2
+        assert main(["fleet-load", "--port", "1", "--reports", "1"]) == 2
         assert "cannot reach server" in capsys.readouterr().err
 
-    def test_serve_and_attest_remote_end_to_end(self, tmp_path, capsys):
+    def test_serve_and_fleet_load_end_to_end(self, tmp_path, capsys):
         """The CLI pair, driven in-process: serve in a thread, attest all
-        three schemes remotely, shut down over the wire -- then restart on
-        the saved database, where every reference is a hit."""
+        three schemes remotely in batched sessions, shut down over the
+        wire -- then restart on the saved database, where every reference
+        is a hit."""
         import os
         import socket
         import threading
@@ -190,15 +195,18 @@ class TestServeAndRemote:
                 except OSError:
                     time.sleep(0.05)
 
-            rc = main(["attest-remote", "--port", str(port), "--provers", "2",
-                       "--rounds", "3", "--scheme", "lofat,cflat,static",
+            rc = main(["fleet-load", "--port", str(port), "--connections", "2",
+                       "--reports", "6", "--devices", "2",
+                       "--scheme", "lofat,cflat,static",
                        "--workload", "figure4_loop", "--batch", "3",
                        "--shutdown"])
             thread.join(timeout=10)
             assert rc == 0
             assert serve_rc == [0]
             out = capsys.readouterr().out
-            assert "reports      : 6 (6 accepted, 0 rejected)" in out
+            assert ("reports      : 6 benign (6 accepted, "
+                    "0 unexpectedly rejected)") in out
+            assert "prover side  : 0 trace replays, 6 live executions" in out
             assert "listening on 127.0.0.1:%d" % port in out
             assert "0 rejected" in out
             return out

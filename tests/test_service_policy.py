@@ -100,18 +100,3 @@ class TestServerPolicyEnforcement:
         assert not verdict.accepted
         assert verdict.reason == "policy_violation"
 
-    def test_enforcement_can_be_disabled(self):
-        program = get_workload(WORKLOAD).build()
-        database = MeasurementDatabase()
-        database.store_policy(_tightened_policy(program))
-
-        async def scenario(server):
-            client = await connected_client(server)
-            _, verdict = await client.attest_round(WORKLOAD)
-            await client.close()
-            return verdict, server.verifier.installed_policy(WORKLOAD)
-
-        verdict, installed = serve(
-            scenario, database=database, enforce_policies=False)
-        assert verdict.accepted
-        assert installed is None

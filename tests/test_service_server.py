@@ -34,9 +34,9 @@ from repro.service.client import (
     AttestationClient,
     RemoteAttestationError,
     SimulatedProver,
-    run_load,
 )
 from repro.service.database import MeasurementDatabase
+from repro.service.loadgen import FleetLoadSpec, drive_fleet_load
 from repro.service.server import AttestationServer
 from repro.service.tracestore import (
     TraceStore,
@@ -444,17 +444,45 @@ class TestVerification:
 
     def test_concurrent_provers_share_one_server(self):
         async def scenario(server):
-            load = await run_load(
-                "127.0.0.1", server.port, provers=6, rounds=4,
-                schemes=("lofat", "cflat", "static"),
-                workloads=(WORKLOAD,))
+            load = await drive_fleet_load(
+                "127.0.0.1", server.port, FleetLoadSpec(
+                    devices=6, connections=6, reports=24, session_rounds=4,
+                    schemes=("lofat", "cflat", "static"),
+                    workloads=(WORKLOAD,)))
             return load, server.stats.as_dict()
         load, stats = serve(scenario)
         assert load.ok
         assert load.reports == 24
+        assert load.executed == load.reports  # no trace store: all live
         assert stats["accepted"] >= 24
         assert stats["protocol_errors"] == 0
         assert stats["active_connections"] == 0
+
+    def test_batched_fleet_load_replays_and_rejects_duplicates(self, tmp_path):
+        """Rounds go out in chunks of ``batch``; any round of a chunk can be
+        re-submitted as a duplicate, and every one must be refused."""
+        store = TraceStore(directory=str(tmp_path))
+        inputs = tuple(get_workload(WORKLOAD).inputs)
+        signature = execution_signature(WORKLOAD, inputs)
+        response = execute_capture_job((signature, WORKLOAD, inputs, None))
+        store.put_bytes(
+            signature, response.trace_bytes, response.exit_code,
+            response.output, response.instructions, response.cycles,
+            response.replayable)
+
+        async def scenario(server):
+            return await drive_fleet_load(
+                "127.0.0.1", server.port, FleetLoadSpec(
+                    devices=4, connections=2, reports=18, session_rounds=6,
+                    batch=3, duplicate_fraction=0.5,
+                    schemes=("lofat", "cflat"), workloads=(WORKLOAD,)),
+                trace_dir=str(tmp_path))
+        load = serve(scenario)
+        assert load.ok, load.rejections
+        assert load.reports == 18
+        assert load.duplicate_injected > 0
+        assert load.duplicate_rejected == load.duplicate_injected
+        assert (load.replayed, load.executed) == (18, 0)
 
     def test_stats_frame_reports_database_and_pool(self):
         async def scenario(server):
@@ -512,7 +540,7 @@ class TestReferenceParity:
                 capture=benign_capture(store, WORKLOAD, inputs))
             runner_steps.append(self._step((measurement, metadata), database))
 
-        server = AttestationServer(trace_store=store, enforce_policies=False)
+        server = AttestationServer(trace_store=store)
 
         async def requests():
             steps = []
