@@ -3,9 +3,9 @@
 The verifier daemon (``repro serve``) runs as a real subprocess -- its own
 Python interpreter, its own event loop -- and the fleet load generator
 (:func:`repro.service.loadgen.run_fleet_load`) drives N concurrent
-simulated provers against it over TCP, one device per connection on
-average and each connection's share of the reports as its mean session
-length.  Provers replay captured executions from a shared
+simulated provers against it over TCP, drawn from a population of as
+many devices as connections, with each connection's share of the
+reports as its mean session length.  Provers replay captured executions from a shared
 :class:`TraceStore` (the capture-once pipeline over the wire) and
 are *paced*: each round charges ``PACE_MS`` of simulated device latency,
 standing in for the embedded core's execution and link time that an
