@@ -13,6 +13,9 @@ unpaced replaying prover would answer thousands of times faster than.
 That makes this a closed-loop load test, the shape real fleets have: the
 server's throughput comes from how many in-flight devices it sustains
 concurrently, and a single sequential prover cannot saturate it.
+Connections churn: each session is a fresh device (TCP connect, HELLO and a
+new prover) with a geometric length around its mean, so every point's rate
+includes the per-session reconnect cost.
 
 The claim under test: reports/sec scales with connection count, because
 the server overlaps the devices' think time and round-trip latency across
@@ -120,7 +123,7 @@ def test_e14_server_throughput_scales_with_connections(
     process, port = _start_server(trace_dir)
     try:
         # One warm pass: the server computes and caches the reference (from
-        # the stored trace), the client populates its replay cache.
+        # the stored trace).
         warm = _fleet_load(port, trace_dir, connections=1, reports=3,
                          warmup=True)
         assert warm.ok
@@ -137,14 +140,14 @@ def test_e14_server_throughput_scales_with_connections(
             rates[connections] = rate
             rows.append({
                 "connections": connections,
-                "rounds_per_prover": max(1, TOTAL_REPORTS // connections),
+                "mean_session_rounds": max(1, TOTAL_REPORTS // connections),
                 "sessions": sessions,
                 "reports_per_sec": round(rate, 1),
                 "scaling_vs_1": round(rate / rates[CONNECTION_COUNTS[0]], 2),
             })
         rows.append({
             "connections": "1 (unpaced wire)",
-            "rounds_per_prover": TOTAL_REPORTS,
+            "mean_session_rounds": TOTAL_REPORTS,
             "sessions": wire_sessions,
             "reports_per_sec": round(wire_rate, 1),
             "scaling_vs_1": "-",
@@ -164,7 +167,7 @@ def test_e14_server_throughput_scales_with_connections(
 
         table = format_table(
             rows,
-            columns=["connections", "rounds_per_prover", "sessions",
+            columns=["connections", "mean_session_rounds", "sessions",
                      "reports_per_sec", "scaling_vs_1"],
             title="E14: attestation server throughput vs concurrent provers "
                   "(%s/%s, trace-replay provers paced at %.1f ms/round)"

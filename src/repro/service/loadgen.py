@@ -25,9 +25,9 @@ Injected anomalies are accounted separately from benign traffic: the run is
 stale/duplicate was rejected -- the load generator doubles as a wire-level
 freshness check on the whole fleet.
 
-``batch > 1`` turns each session into batched verification sessions:
-rounds go out in chunks through :meth:`AttestationClient.attest_batch`
-(all challenge requests pipelined, then all reports), and every round of a
+A session sends its rounds in chunks of ``batch`` through
+:meth:`AttestationClient.attest_batch` (all challenge requests pipelined,
+then all reports; a chunk of one is a plain round), and every round of a
 chunk can still be picked for duplicate injection.
 
 ``processes > 1`` forks that many OS client processes, each driving its own
@@ -206,14 +206,14 @@ class FleetLoadReport:
 def sample_device(rng: random.Random, population: int) -> str:
     """Draw a device id with a heavy-tailed (Zipf-like) popularity.
 
-    Rank is log-uniform over ``[0, population)``: device 0 is as likely as
-    all of ranks 10..99 together, which are as likely as 100..999, and so
-    on -- a few hot devices dominate while the million-device tail still
-    gets drawn.  Deterministic in ``rng``.
+    ``rank + 1`` is log-uniform over ``[1, population + 1)``: ranks 0..8
+    are as likely as 9..98, which are as likely as 99..998, and so on -- a few
+    hot devices dominate while the tail, device ``population - 1``
+    included, still gets drawn.  Deterministic in ``rng``.
     """
     if population <= 1:
         return "device-0000000"
-    rank = int(math.exp(rng.random() * math.log(population))) - 1
+    rank = int(math.exp(rng.random() * math.log(population + 1))) - 1
     rank = min(max(rank, 0), population - 1)
     return "device-%07d" % rank
 
@@ -260,6 +260,7 @@ async def _drive_connection(
     plan = [(workload, None, scheme)
             for scheme in spec.schemes for workload in spec.workloads]
     storms_done = 0
+    walked = 0
     while progress.issued < progress.budget:
         device_id = sample_device(rng, spec.devices)
         seen_devices.add(device_id)
@@ -277,15 +278,14 @@ async def _drive_connection(
                 chunk = []
                 while (len(chunk) < spec.batch and round_index < session_rounds
                        and progress.take_round()):
-                    chunk.append(plan[
-                        (progress.issued + slot + round_index) % len(plan)])
+                    # Each connection walks the schemes x workloads product
+                    # from its own offset, across its sessions.
+                    chunk.append(plan[(slot + walked) % len(plan)])
+                    walked += 1
                     round_index += 1
                 if not chunk:
                     break
-                if len(chunk) == 1:
-                    results = [await client.attest_round(*chunk[0])]
-                else:
-                    results = await client.attest_batch(chunk)
+                results = await client.attest_batch(chunk)
                 for (workload, _, scheme), (wire_report, verdict) in zip(
                         chunk, results):
                     report.reports += 1

@@ -439,6 +439,13 @@ class TestLoadGenerator:
         # ...while the deep tail still gets drawn.
         assert max(ranks) > 10_000
 
+    def test_sample_device_reaches_every_device_of_a_small_population(self):
+        rng = random.Random(3)
+        for population in (2, 5):
+            drawn = {sample_device(rng, population) for _ in range(500)}
+            assert drawn == {"device-%07d" % rank
+                             for rank in range(population)}
+
     def test_spec_validation(self):
         for field_name, value in (
             ("devices", 0), ("connections", 0), ("processes", 0),

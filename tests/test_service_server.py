@@ -484,6 +484,18 @@ class TestVerification:
         assert load.duplicate_rejected == load.duplicate_injected
         assert (load.replayed, load.executed) == (18, 0)
 
+    def test_one_connection_attests_every_scheme(self):
+        """A connection walks the whole schemes x workloads product, across
+        sessions, instead of skipping every other pair."""
+        async def scenario(server):
+            return await drive_fleet_load(
+                "127.0.0.1", server.port, FleetLoadSpec(
+                    devices=1, connections=1, reports=8, session_rounds=3,
+                    schemes=("lofat", "cflat"), workloads=(WORKLOAD,)))
+        load = serve(scenario)
+        assert load.ok, load.rejections
+        assert load.by_scheme == {"lofat": 4, "cflat": 4}
+
     def test_stats_frame_reports_database_and_pool(self):
         async def scenario(server):
             client = await connected_client(server)
