@@ -18,17 +18,27 @@ The filter does not keep per-path state itself -- it drives the
 :class:`repro.lofat.loop_monitor.LoopMonitor` through the same control
 interface the hardware uses (``non_loops ctrl``, ``loops_status ctrl``,
 ``branch_status ctrl``), here expressed as callbacks.
+
+Per-record, batched and per-block observation all feed one record loop,
+:meth:`BranchFilter._observe_records`, with its state in locals.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 from repro.cpu.trace import BranchKind, TraceRecord
 from repro.lofat.config import LoFatConfig
 from repro.lofat.loop_monitor import LoopMonitor
+
+_NOT_CONTROL_FLOW = BranchKind.NOT_CONTROL_FLOW
+_CONDITIONAL = BranchKind.CONDITIONAL
+_DIRECT_JUMP = BranchKind.DIRECT_JUMP
+_DIRECT_CALL = BranchKind.DIRECT_CALL
+_INDIRECT_CALL = BranchKind.INDIRECT_CALL
+_RETURN = BranchKind.RETURN
 
 
 class FilterEventKind(enum.Enum):
@@ -65,16 +75,7 @@ class FilterStats:
     loops_beyond_max_depth: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "instructions_observed": self.instructions_observed,
-            "control_flow_instructions": self.control_flow_instructions,
-            "non_loop_branches": self.non_loop_branches,
-            "loop_branches": self.loop_branches,
-            "loops_discovered": self.loops_discovered,
-            "loop_iterations": self.loop_iterations,
-            "loop_exits": self.loop_exits,
-            "loops_beyond_max_depth": self.loops_beyond_max_depth,
-        }
+        return dict(vars(self))
 
 
 class BranchFilter:
@@ -100,6 +101,8 @@ class BranchFilter:
     ) -> None:
         self.config = config
         self.loop_monitor = loop_monitor
+        #: The monitor's loop stack (it pushes and pops this one list).
+        self._loops = loop_monitor.active_loops
         self.hash_non_loop = hash_non_loop
         #: Optional batched variant of ``hash_non_loop``: absorbs a run of
         #: consecutive non-loop branches in one hash-engine call (same bytes,
@@ -132,64 +135,14 @@ class BranchFilter:
         cycle = record_or_cycle.cycle if isinstance(record_or_cycle, TraceRecord) else record_or_cycle
         self.events.append(FilterEvent(kind, cycle, pc, detail))
 
-    @staticmethod
-    def _is_loop_back_edge(record: TraceRecord) -> bool:
-        """True for a taken, non-linking, backward direct transfer.
-
-        Conditional branches and plain ``jal x0`` jumps qualify; calls (which
-        link) and returns (the recognised return idiom) do not.
-        """
-        if not record.taken:
-            return False
-        if record.kind is BranchKind.CONDITIONAL:
-            return record.next_pc <= record.pc
-        if record.kind is BranchKind.DIRECT_JUMP:
-            return record.next_pc <= record.pc
-        return False
-
     # --------------------------------------------------------------- input
     def observe(self, record: TraceRecord) -> None:
-        """Process one retired instruction (the per-cycle pipeline snoop)."""
-        self.stats.instructions_observed += 1
-        self._linear_start = record.next_pc
-        monitor = self.loop_monitor
+        """Process one retired instruction (the per-cycle pipeline snoop).
 
-        # 1. Loop-exit detection based on the current PC.  Only applies when
-        #    execution is in the same call frame the loop was entered in.
-        self._check_loop_exits(record)
-
-        if not record.is_control_flow:
-            return
-
-        self.stats.control_flow_instructions += 1
-        self.internal_latency_cycles += self.config.branch_tracking_latency
-
-        # 2. Call-depth tracking for the exit heuristic.
-        if record.kind.is_linking:
-            self._call_depth += 1
-        elif record.kind is BranchKind.RETURN:
-            if self._call_depth > 0:
-                self._call_depth -= 1
-            elif monitor.active_loops:
-                # A return at the loop's own call depth leaves the function
-                # containing the loop: every active loop in this frame exits.
-                self._exit_all_loops(record)
-
-        # 3. Back-edge / loop classification.
-        if self._is_loop_back_edge(record):
-            self._handle_back_edge(record)
-            return
-
-        # 4. Ordinary control flow: inside a loop it contributes to the loop
-        #    path; outside it is hashed directly.
-        if monitor.active_loops:
-            monitor.loop_branch(record)
-            self.stats.loop_branches += 1
-            self._emit(FilterEventKind.LOOP_BRANCH, record, record.pc)
-        else:
-            self.hash_non_loop(record)
-            self.stats.non_loop_branches += 1
-            self._emit(FilterEventKind.NON_LOOP_BRANCH, record, record.pc)
+        Its loop-exit check covers its own pc only: a pre-hook may have
+        moved the pc since the previous record."""
+        self._linear_start = None
+        self._observe_records((record,))
 
     def observe_batch(self, records: Sequence[TraceRecord]) -> None:
         """Process a batch of retired *control-flow* records.
@@ -209,60 +162,7 @@ class BranchFilter:
         indices, so it excludes any straight-line tail after the last
         control-flow instruction.
         """
-        monitor = self.loop_monitor
-        stats = self.stats
-        branch_latency = self.config.branch_tracking_latency
-        #: Consecutive directly-hashable branches awaiting one absorb call.
-        pending: List[TraceRecord] = []
-        for record in records:
-            stats.instructions_observed = record.index + 1
-            run_start = self._linear_start
-            if run_start is None:
-                run_start = record.pc
-
-            # 1. Loop-exit detection over the straight-line run
-            #    [run_start, record.pc].
-            if monitor.active_loops:
-                self._exit_loops_in_range(run_start, record.pc, record.cycle)
-
-            kind = record.kind
-            if not kind.is_control_flow:
-                # Contract: batches carry control-flow records only; keep a
-                # stray record harmless (it carries no pair to hash).
-                self._linear_start = record.next_pc
-                continue
-
-            stats.control_flow_instructions += 1
-            self.internal_latency_cycles += branch_latency
-
-            # 2. Call-depth tracking for the exit heuristic.
-            if kind.is_linking:
-                self._call_depth += 1
-            elif kind is BranchKind.RETURN:
-                if self._call_depth > 0:
-                    self._call_depth -= 1
-                elif monitor.active_loops:
-                    self._exit_all_loops(record)
-
-            # 3. / 4. Back-edge handling and ordinary control flow.  Back
-            # edges and loop events may trigger loop-path hashing, so the
-            # pending direct run is flushed first to preserve absorb order.
-            if self._is_loop_back_edge(record):
-                if pending:
-                    self._flush_direct_run(pending)
-                    pending = []
-                self._handle_back_edge(record)
-            elif monitor.active_loops:
-                monitor.loop_branch(record)
-                stats.loop_branches += 1
-                self._emit(FilterEventKind.LOOP_BRANCH, record, record.pc)
-            else:
-                pending.append(record)
-                stats.non_loop_branches += 1
-                self._emit(FilterEventKind.NON_LOOP_BRANCH, record, record.pc)
-            self._linear_start = record.next_pc
-        if pending:
-            self._flush_direct_run(pending)
+        self._observe_records(records)
 
     def observe_block(self, records: Sequence[TraceRecord], chunk, pairs) -> None:
         """Process one compiled block's control-flow records.
@@ -278,32 +178,125 @@ class BranchFilter:
         and never changes the call depth, so outside loops each one is a
         plain directly-hashed non-loop branch and the whole run absorbs as
         one chunk.  Inside a loop (or when diagnostics record per-event
-        streams) the records flow through :meth:`observe_batch`, preserving
-        the loop-path and loop-exit semantics instruction for instruction.
+        streams) the records go through the record loop like a batch,
+        preserving the loop-path and loop-exit semantics instruction for
+        instruction; so does the terminator.
         """
         n = len(pairs)
         if (
-            n == 0
-            or self._record_events
-            or self.loop_monitor.active_loops
-            or len(records) < n
+            n
+            and len(records) >= n
+            and not self._record_events
+            and not self._loops
         ):
-            self.observe_batch(records)
+            internal = records[:n]
+            stats = self.stats
+            stats.instructions_observed = internal[-1].index + 1
+            stats.control_flow_instructions += n
+            stats.non_loop_branches += n
+            self.internal_latency_cycles += n * self.config.branch_tracking_latency
+            self._linear_start = internal[-1].next_pc
+            if self.hash_non_loop_chunk is not None:
+                self.hash_non_loop_chunk(chunk, pairs, internal)
+            else:
+                self._flush_direct_run(internal)
+            records = records[n:]
+        self._observe_records(records)
+
+    def _observe_records(self, records: Sequence[TraceRecord]) -> None:
+        """The one record loop behind every ``observe*`` method.
+
+        Call depth, the run start and the loop stack live in locals.  A
+        branch folded into the innermost loop and the back edge closing its
+        iteration are handled inline; loop discovery, re-entry of an outer
+        loop, folding beyond ``max_nested_loops`` and exits go through
+        helpers.  Directly hashed branches are absorbed as one run, flushed
+        before any loop event so the absorb order is unchanged.
+        """
+        if not records:
             return
-        internal = records[:n]
+        stack = self._loops
+        record_events = self._record_events
+        emit = self._emit
+        exit_loops_in_range = self._exit_loops_in_range
+        complete_path = self.loop_monitor.complete_path
+        depth = self._call_depth
+        run_start = self._linear_start
+        control_flow = loop_branches = non_loop_branches = iterations = 0
+        #: Consecutive directly-hashable branches awaiting one absorb call.
+        pending: List[TraceRecord] = []
+        for record in records:
+            pc = record.pc
+            # 1. Loop-exit detection over the straight-line run
+            #    [run_start, pc].
+            if stack:
+                exit_loops_in_range(pc if run_start is None else run_start, pc,
+                                    record.cycle, depth)
+            next_pc = record.next_pc
+            run_start = next_pc
+            kind = record.kind
+            if kind is _NOT_CONTROL_FLOW:
+                # Per-record observation sees every instruction; a batch
+                # carries control-flow records only.  Neither has a pair.
+                continue
+            control_flow += 1
+
+            # 2. Call-depth tracking for the exit heuristic.
+            if kind is _DIRECT_CALL or kind is _INDIRECT_CALL:
+                depth += 1
+            elif kind is _RETURN:
+                if depth:
+                    depth -= 1
+                elif stack:
+                    # A return at the loop's own call depth leaves the
+                    # function containing the loop: every active loop in
+                    # this frame exits.
+                    self._exit_all_loops(record)
+
+            # 3. A back edge is a taken, non-linking, backward direct
+            #    transfer: a conditional branch or a plain ``jal x0``.
+            if (kind is _CONDITIONAL or kind is _DIRECT_JUMP) and record.taken \
+                    and next_pc <= pc:
+                if pending:
+                    self._flush_direct_run(pending)
+                    pending = []
+                if stack and stack[-1].entry == next_pc:
+                    # Another iteration of the innermost loop.
+                    loop = stack[-1]
+                    loop.fold(record)
+                    complete_path(loop, record.cycle)
+                    loop_branches += 1
+                    iterations += 1
+                    if record_events:
+                        emit(FilterEventKind.LOOP_ITERATION, record, pc,
+                             "entry=%#x" % next_pc)
+                else:
+                    self._call_depth = depth
+                    self._handle_back_edge(record)
+
+            # 4. Ordinary control flow: inside a loop it contributes to the
+            #    innermost loop's path; outside it is hashed directly.
+            elif stack:
+                stack[-1].fold(record)
+                loop_branches += 1
+                if record_events:
+                    emit(FilterEventKind.LOOP_BRANCH, record, pc)
+            else:
+                pending.append(record)
+                non_loop_branches += 1
+                if record_events:
+                    emit(FilterEventKind.NON_LOOP_BRANCH, record, pc)
+        if pending:
+            self._flush_direct_run(pending)
+        self._call_depth = depth
+        self._linear_start = run_start
         stats = self.stats
-        stats.instructions_observed = internal[-1].index + 1
-        stats.control_flow_instructions += n
-        stats.non_loop_branches += n
-        self.internal_latency_cycles += n * self.config.branch_tracking_latency
-        self._linear_start = internal[-1].next_pc
-        if self.hash_non_loop_chunk is not None:
-            self.hash_non_loop_chunk(chunk, pairs, internal)
-        else:
-            self._flush_direct_run(internal)
-        remainder = records[n:]
-        if remainder:
-            self.observe_batch(remainder)
+        stats.instructions_observed = records[-1].index + 1
+        stats.control_flow_instructions += control_flow
+        stats.loop_branches += loop_branches
+        stats.non_loop_branches += non_loop_branches
+        stats.loop_iterations += iterations
+        self.internal_latency_cycles += control_flow * self.config.branch_tracking_latency
 
     def sync_straight_line(self, next_pc: int, cycle: int) -> None:
         """Apply loop-exit checks for an unobserved straight-line run.
@@ -321,17 +314,7 @@ class BranchFilter:
         self._linear_start = None
         if run_start is None or run_start >= next_pc:
             return  # nothing retired since the last observed record
-        self._exit_loops_in_range(run_start, next_pc - 4, cycle)
-
-    def sync_instructions_observed(self, instructions: int) -> None:
-        """Raise ``instructions_observed`` to the true retirement count.
-
-        Batched observation can only count up to the last control-flow
-        record; the CPU reports the full count (including the straight-line
-        tail) at the end of the run.
-        """
-        if instructions > self.stats.instructions_observed:
-            self.stats.instructions_observed = instructions
+        self._exit_loops_in_range(run_start, next_pc - 4, cycle, self._call_depth)
 
     def _flush_direct_run(self, records: Sequence[TraceRecord]) -> None:
         if self.hash_non_loop_run is not None:
@@ -340,18 +323,20 @@ class BranchFilter:
             for record in records:
                 self.hash_non_loop(record)
 
-    def _exit_loops_in_range(self, run_start: int, last_pc: int, cycle: int) -> None:
+    def _exit_loops_in_range(self, run_start: int, last_pc: int, cycle: int,
+                             call_depth: int) -> None:
         """Pop active loops exited by the monotone pc run [run_start, last_pc].
 
         The one loop-exit stack walk behind every observation mode: some pc
         in the run is past the exit node iff the last one is, and some pc
         precedes the loop entry iff the first one does -- so the per-record
-        check is simply the degenerate run ``run_start == last_pc``.
+        check is simply the degenerate run ``run_start == last_pc``.  Only
+        loops entered at ``call_depth`` (the current frame) can exit.
         """
-        monitor = self.loop_monitor
-        while monitor.active_loops:
-            top = monitor.top_loop
-            if self._call_depth != top.call_depth:
+        stack = self._loops
+        while stack:
+            top = stack[-1]
+            if call_depth != top.call_depth:
                 return
             if last_pc >= top.exit_node or run_start < top.entry:
                 self._exit_top_loop(cycle, last_pc)
@@ -413,9 +398,6 @@ class BranchFilter:
                    "entry=%#x exit=%#x" % (entry, exit_node))
 
     # --------------------------------------------------------------- exits
-    def _check_loop_exits(self, record: TraceRecord) -> None:
-        self._exit_loops_in_range(record.pc, record.pc, record.cycle)
-
     def _exit_top_loop(self, cycle: int, pc: int) -> None:
         self.loop_monitor.exit_loop(cycle)
         self.stats.loop_exits += 1
@@ -423,10 +405,10 @@ class BranchFilter:
         self._emit(FilterEventKind.LOOP_EXIT, cycle, pc)
 
     def _exit_all_loops(self, record: TraceRecord) -> None:
-        while self.loop_monitor.active_loops:
+        while self._loops:
             self._exit_top_loop(record.cycle, record.pc)
 
     def finalize(self, cycle: int) -> None:
         """Close any loops still active when the attested execution ends."""
-        while self.loop_monitor.active_loops:
+        while self._loops:
             self._exit_top_loop(cycle, 0)

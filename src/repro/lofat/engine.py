@@ -171,7 +171,8 @@ class LoFatEngine:
             return
         if cycle > self._last_cycle:
             self._last_cycle = cycle
-        self.branch_filter.sync_instructions_observed(instructions)
+        stats = self.branch_filter.stats
+        stats.instructions_observed = max(stats.instructions_observed, instructions)
 
     # Allow the engine object itself to be used as the monitor callback.
     __call__ = observe

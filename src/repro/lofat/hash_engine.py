@@ -20,7 +20,7 @@ monitor (paper §5.3).  Two aspects matter for the reproduction:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.lofat.config import LoFatConfig
@@ -46,14 +46,7 @@ class HashEngineStats:
     last_absorb_cycle: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "pairs_absorbed": self.pairs_absorbed,
-            "pad_stalls": self.pad_stalls,
-            "stall_cycles": self.stall_cycles,
-            "max_buffer_occupancy": self.max_buffer_occupancy,
-            "dropped_pairs": self.dropped_pairs,
-            "last_absorb_cycle": self.last_absorb_cycle,
-        }
+        return dict(vars(self))
 
 
 class HashEngine:

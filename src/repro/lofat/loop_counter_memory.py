@@ -6,61 +6,61 @@ is saved.  A counter value of zero indicates the first time a particular path
 is executed." (paper §5.1)
 
 The hardware implements one such memory per simultaneously-tracked loop level
-as block RAM with single-cycle access; functionally it is a mapping from path
-encodings to saturating counters, which is what this class provides, plus the
+as block RAM with single-cycle access; functionally it is a mapping from integer
+path IDs to saturating counters, which is what this class provides, plus the
 occupancy statistics the area experiments report (the memory is "sparsely
 utilized", §5.1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.lofat.config import LoFatConfig
-from repro.lofat.path_encoder import PathEncoding
 
 
 class LoopCounterMemory:
-    """Per-loop path-indexed iteration counters with first-seen ordering."""
+    """Per-loop path-indexed iteration counters with first-seen ordering.
+
+    Keyed by the integer path ID (:attr:`PathEncoding.path_id`), which is
+    unique per bit string; the dictionary's insertion order is the order
+    of first occurrence.
+    """
 
     def __init__(self, config: Optional[LoFatConfig] = None) -> None:
         self.config = config or LoFatConfig()
-        self._counters: Dict[str, int] = {}
-        self._first_seen_order: List[str] = []
+        self._counters: Dict[int, int] = {}
         self._max_counter = (1 << self.config.counter_width_bits) - 1
         self.saturations = 0
 
-    def record_path(self, encoding: PathEncoding) -> bool:
-        """Record one completed traversal of ``encoding``.
+    def record_path(self, path_id: int) -> bool:
+        """Record one completed traversal of the path ``path_id``.
 
         Returns True when this is the first time the path is observed (the
         hardware raises ``new_path ctrl`` towards the hash engine controller
         in that case).
         """
-        key = encoding.bits
-        count = self._counters.get(key)
+        count = self._counters.get(path_id)
         if count is None:
-            self._counters[key] = 1
-            self._first_seen_order.append(key)
+            self._counters[path_id] = 1
             return True
         if count >= self._max_counter:
             # Counter saturation: the hardware would report the saturated
             # value; we count occurrences so the experiments can show how
             # often the configured width is insufficient.
             self.saturations += 1
-            self._counters[key] = self._max_counter
+            self._counters[path_id] = self._max_counter
         else:
-            self._counters[key] = count + 1
+            self._counters[path_id] = count + 1
         return False
 
-    def count_for(self, encoding_bits: str) -> int:
+    def count_for(self, path_id: int) -> int:
         """Iteration count stored for a path (0 if never seen)."""
-        return self._counters.get(encoding_bits, 0)
+        return self._counters.get(path_id, 0)
 
-    def paths_in_first_seen_order(self) -> List[Tuple[str, int]]:
-        """(encoding bits, count) pairs in order of first occurrence."""
-        return [(bits, self._counters[bits]) for bits in self._first_seen_order]
+    def paths_in_first_seen_order(self) -> List[Tuple[int, int]]:
+        """(path ID, count) pairs in order of first occurrence."""
+        return list(self._counters.items())
 
     @property
     def distinct_paths(self) -> int:
@@ -85,5 +85,4 @@ class LoopCounterMemory:
     def clear(self) -> None:
         """Reset the memory (loop exit / re-use for the next loop execution)."""
         self._counters.clear()
-        self._first_seen_order.clear()
         self.saturations = 0

@@ -13,7 +13,9 @@ the counter, i.e., not requiring further hash operations." (paper §4)
 This module owns the stack of active loops (supporting nesting up to the
 configured depth), one :class:`LoopPathEncoder` + :class:`LoopCounterMemory` +
 branch buffer per active loop, and produces a :class:`LoopRecord` for the
-metadata generator when a loop exits.
+metadata generator when a loop exits.  A completed path is counted under
+its integer path ID, so a repeated path costs one dictionary update; a
+:class:`PathEncoding` is built only for a path seen for the first time.
 """
 
 from __future__ import annotations
@@ -32,6 +34,11 @@ from repro.lofat.path_encoder import LoopPathEncoder, PathEncoding
 HashPairsCallback = Callable[[Sequence[Tuple[int, int]], int], None]
 #: Callback delivering a finished LoopRecord to the metadata generator.
 LoopExitCallback = Callable[[LoopRecord], None]
+
+_CONDITIONAL = BranchKind.CONDITIONAL
+_INDIRECT_JUMP = BranchKind.INDIRECT_JUMP
+_INDIRECT_CALL = BranchKind.INDIRECT_CALL
+_RETURN = BranchKind.RETURN
 
 
 @dataclass
@@ -52,6 +59,17 @@ class ActiveLoop:
     iterations: int = 0
     entered_at_cycle: int = 0
 
+    def fold(self, record: TraceRecord) -> None:
+        """Fold one control-flow event into the in-flight path and buffer."""
+        kind = record.kind
+        if kind is _CONDITIONAL:
+            self.encoder.on_conditional(record.taken)
+        elif kind is _INDIRECT_JUMP or kind is _INDIRECT_CALL or kind is _RETURN:
+            self.encoder.on_indirect(record.next_pc)
+        else:  # direct jumps and direct calls
+            self.encoder.on_direct_jump()
+        self.pair_buffer.append((record.pc, record.next_pc))
+
 
 @dataclass
 class LoopMonitorStats:
@@ -66,15 +84,7 @@ class LoopMonitorStats:
     pairs_compressed: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "loops_entered": self.loops_entered,
-            "loops_exited": self.loops_exited,
-            "iterations_total": self.iterations_total,
-            "new_paths_hashed": self.new_paths_hashed,
-            "repeated_paths_compressed": self.repeated_paths_compressed,
-            "pairs_hashed_from_loops": self.pairs_hashed_from_loops,
-            "pairs_compressed": self.pairs_compressed,
-        }
+        return dict(vars(self))
 
 
 class LoopMonitor:
@@ -103,11 +113,6 @@ class LoopMonitor:
         """Current nesting depth of tracked loops."""
         return len(self._stack)
 
-    @property
-    def top_loop(self) -> ActiveLoop:
-        """The innermost active loop."""
-        return self._stack[-1]
-
     def find_loop_by_entry(self, entry: int) -> Optional[int]:
         """Stack index of the active loop with entry node ``entry``, if any."""
         for index in range(len(self._stack) - 1, -1, -1):
@@ -135,28 +140,20 @@ class LoopMonitor:
         """Fold one control-flow event into the innermost loop's path."""
         if not self._stack:
             raise RuntimeError("loop_branch called with no active loop")
-        loop = self._stack[-1]
-        encoder = loop.encoder
-        kind = record.kind
-        if kind is BranchKind.CONDITIONAL:
-            encoder.on_conditional(record.taken)
-        elif kind.is_indirect:
-            encoder.on_indirect(record.next_pc)
-        else:  # direct jumps and direct calls
-            encoder.on_direct_jump()
-        loop.pair_buffer.append((record.pc, record.next_pc))
+        self._stack[-1].fold(record)
 
     def iteration_boundary(self, record: TraceRecord) -> None:
         """Close the current iteration of the innermost loop.
 
-        Called by the branch filter for the back edge that returns control to
-        the loop entry node.  The back edge itself has already been folded
-        into the path by :meth:`loop_branch`.
+        For a back edge that returns control to the loop entry node; the
+        back edge itself has already been folded into the path by
+        :meth:`loop_branch`.  The branch filter's record loop closes the
+        innermost loop's iterations through :meth:`complete_path` directly.
         """
         if not self._stack:
             raise RuntimeError("iteration_boundary called with no active loop")
         loop = self._stack[-1]
-        self._complete_path(loop, record.cycle)
+        self.complete_path(loop, record.cycle)
 
     def exit_loop(self, cycle: int) -> LoopRecord:
         """Terminate the innermost loop and emit its metadata record."""
@@ -167,13 +164,14 @@ class LoopMonitor:
         # exited, e.g. the failing while-condition or a break) is recorded as
         # a path of its own so the exit route is covered by the measurement.
         if not loop.encoder.is_empty or loop.pair_buffer:
-            self._complete_path(loop, cycle)
+            self.complete_path(loop, cycle)
 
+        # The counter memory lists its paths in first-seen order, as
+        # ``first_seen`` does.
         paths = [
-            PathRecord(encoding=encoding,
-                       iterations=loop.counters.count_for(encoding.bits),
-                       first_seen_index=index)
-            for index, encoding in enumerate(loop.first_seen)
+            PathRecord(encoding=encoding, iterations=count, first_seen_index=index)
+            for index, (encoding, (_, count)) in enumerate(
+                zip(loop.first_seen, loop.counters.paths_in_first_seen_order()))
         ]
         record = LoopRecord(
             entry=loop.entry,
@@ -189,23 +187,25 @@ class LoopMonitor:
         loop.counters.clear()
         return record
 
-    # -------------------------------------------------------------- helpers
-    def _complete_path(self, loop: ActiveLoop, cycle: int) -> None:
-        encoding = loop.encoder.finish()
+    def complete_path(self, loop: ActiveLoop, cycle: int) -> None:
+        """Count ``loop``'s in-flight path by its integer ID; build its
+        :class:`PathEncoding` and hash its pairs only if the path is new."""
+        encoder = loop.encoder
         # Hand the buffered pairs over without copying: the buffer is re-bound
         # to a fresh list, so the hash engine owns the old one outright.
         pairs = loop.pair_buffer
         loop.pair_buffer = []
         loop.iterations += 1
-        self.stats.iterations_total += 1
+        stats = self.stats
+        stats.iterations_total += 1
 
-        is_new = loop.counters.record_path(encoding)
-        if is_new:
-            loop.first_seen.append(encoding)
-            self.stats.new_paths_hashed += 1
-            self.stats.pairs_hashed_from_loops += len(pairs)
+        if loop.counters.record_path(encoder.path_id):
+            loop.first_seen.append(encoder.finish())
+            stats.new_paths_hashed += 1
+            stats.pairs_hashed_from_loops += len(pairs)
             if pairs:
                 self.hash_pairs(pairs, cycle)
         else:
-            self.stats.repeated_paths_compressed += 1
-            self.stats.pairs_compressed += len(pairs)
+            encoder.reset_path()
+            stats.repeated_paths_compressed += 1
+            stats.pairs_compressed += len(pairs)

@@ -13,15 +13,22 @@ order, from:
 For the example of Figure 4, the dashed path N2 -> N3 -> N5 -> N6 -> N2 is
 encoded as ``011`` and the bold path N2 -> N3 -> N4 -> N6 -> N2 as ``0011``.
 The experiment E4 reproduces exactly those strings.
+
+:class:`LoopPathEncoder` accumulates the in-flight path as an integer (value
+plus width), and its :attr:`~LoopPathEncoder.path_id` -- the string with a
+leading ``1`` sentinel, read as binary -- indexes the loop counter memory.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from repro.lofat.config import LoFatConfig
 from repro.lofat.target_cam import TargetCam
+
+#: Most indirect codes one path records: L stores their count in one byte.
+MAX_INDIRECT_CODES = 255
 
 
 @dataclass(frozen=True)
@@ -111,50 +118,54 @@ class LoopPathEncoder:
     One encoder instance exists per *active* loop (the loop monitor owns
     them).  The encoder also owns the loop's indirect-target CAM, because the
     target codes are local to a loop in the paper's design.
+
+    The in-flight path is an integer value plus its width, so an append is
+    O(1) and :attr:`path_id` needs no string; :meth:`finish` builds the
+    :class:`PathEncoding` (the loop monitor asks only for new paths).
     """
 
     def __init__(self, config: Optional[LoFatConfig] = None) -> None:
         self.config = config or LoFatConfig()
         self.cam = TargetCam(self.config.indirect_target_bits)
-        self._bits: List[str] = []
-        self._indirect_codes: List[int] = []
-        self._branch_count = 0
-        self._truncated = False
+        self._code_bits = self.config.indirect_target_bits
+        self._max_bits = self.config.max_branches_per_path
+        self.reset_path()
 
     # ------------------------------------------------------------- events
     def on_conditional(self, taken: bool) -> None:
         """Record a conditional branch outcome (1 = taken, 0 = not taken)."""
-        self._append("1" if taken else "0")
+        self._append(1 if taken else 0, 1)
 
     def on_direct_jump(self) -> None:
         """Record a direct unconditional jump (always encoded as 1)."""
-        self._append("1")
+        self._append(1, 1)
 
     def on_indirect(self, target: int) -> int:
         """Record an indirect branch to ``target``; returns the assigned code."""
         code = self.cam.encode(target)
-        width = self.config.indirect_target_bits
-        self._append(format(code, "0%db" % width))
-        self._indirect_codes.append(code)
+        self._append(code, self._code_bits)
+        # L carries the code count in one byte.  Past 255 codes the path is
+        # long truncated already (255 x n bits > l), so the rest are dropped.
+        if len(self._indirect_codes) < MAX_INDIRECT_CODES:
+            self._indirect_codes.append(code)
         return code
 
-    def _append(self, bits: str) -> None:
+    def _append(self, value: int, width: int) -> None:
         self._branch_count += 1
-        if self._encoded_width() + len(bits) > self.config.max_branches_per_path:
+        total = self._width + width
+        if total > self._max_bits:
             # Path longer than the configured granularity: the hardware stops
             # refining the encoding; the verifier sees the truncation flag.
             self._truncated = True
             return
-        self._bits.append(bits)
-
-    def _encoded_width(self) -> int:
-        return sum(len(chunk) for chunk in self._bits)
+        self._value = (self._value << width) | value
+        self._width = total
 
     # ------------------------------------------------------------ lifecycle
     def finish(self) -> PathEncoding:
         """Finish the current path and return its encoding (then reset)."""
         encoding = PathEncoding(
-            bits="".join(self._bits),
+            bits=self.current_bits,
             indirect_codes=tuple(self._indirect_codes),
             branch_count=self._branch_count,
             truncated=self._truncated,
@@ -164,7 +175,8 @@ class LoopPathEncoder:
 
     def reset_path(self) -> None:
         """Clear per-iteration state (the CAM persists across iterations)."""
-        self._bits = []
+        self._value = 0
+        self._width = 0
         self._indirect_codes = []
         self._branch_count = 0
         self._truncated = False
@@ -175,9 +187,14 @@ class LoopPathEncoder:
         self.cam.clear()
 
     @property
+    def path_id(self) -> int:
+        """:attr:`PathEncoding.path_id` of the in-flight path."""
+        return (1 << self._width) | self._value
+
+    @property
     def current_bits(self) -> str:
         """The bits accumulated so far for the in-flight path."""
-        return "".join(self._bits)
+        return format(self._value, "0%db" % self._width) if self._width else ""
 
     @property
     def is_empty(self) -> bool:

@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.attestation import Prover, Verifier
 from repro.cpu.core import Cpu
-from repro.lofat.config import LoFatConfig
+from repro.isa.assembler import assemble
 from repro.lofat.engine import LoFatEngine, attest_execution
-from repro.workloads import all_workloads, get_workload
+from repro.lofat.metadata import LoopMetadata
+from repro.workloads import get_workload
 
 
 def attest(workload_name, inputs=None, config=None):
@@ -161,3 +163,60 @@ class TestEngineLifecycle:
                     "compression_ratio", "internal_latency_cycles",
                     "processor_stall_cycles", "filter", "loops", "hash_engine"):
             assert key in stats
+
+
+#: Four nested loops; the outer three iterate twice and the innermost calls a
+#: function 300 times (30 iterations of 10 calls, so no path counter
+#: saturates).  With the default nesting depth of 3 the innermost loop is
+#: folded into the depth-3 path, so one path carries 300 returns.
+DEEP_NEST_MANY_RETURNS = """
+_start:
+    li s0, 0
+l1:
+    li s1, 0
+l2:
+    li s2, 0
+l3:
+    li s3, 0
+l4:
+""" + "    call helper\n" * 10 + """
+    addi s3, s3, 1
+    li t0, 30
+    blt s3, t0, l4
+    addi s2, s2, 1
+    li t0, 2
+    blt s2, t0, l3
+    addi s1, s1, 1
+    li t0, 2
+    blt s1, t0, l2
+    addi s0, s0, 1
+    li t0, 2
+    blt s0, t0, l1
+    li a7, 93
+    ecall
+helper:
+    addi a0, a0, 1
+    ret
+"""
+
+
+class TestLongIndirectPaths:
+    """A path with more indirect transfers than L's one-byte code count."""
+
+    def test_metadata_serialises_and_report_verifies(self):
+        program = assemble(DEEP_NEST_MANY_RETURNS)
+        _, measurement = attest_execution(program)
+        assert measurement.stats["filter"]["loops_beyond_max_depth"] > 0
+        longest = max((path.encoding for loop in measurement.metadata for path in loop.paths),
+                      key=lambda encoding: len(encoding.indirect_codes))
+        assert len(longest.indirect_codes) == 255
+        assert longest.truncated
+        blob = measurement.metadata.to_bytes()
+        assert LoopMetadata.from_bytes(blob).to_bytes() == blob
+
+        prover = Prover({"deep_nest": program}, device_id="device-1")
+        verifier = Verifier()
+        verifier.register_program("deep_nest", program)
+        verifier.register_device_key("device-1", prover.keystore.export_for_verifier())
+        report = prover.attest(verifier.challenge("deep_nest", []))
+        assert verifier.verify(report, device_id="device-1").accepted

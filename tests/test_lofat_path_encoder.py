@@ -1,9 +1,7 @@
 """Unit tests for the loop path encoder (Figure 4 semantics)."""
 
-import pytest
-
 from repro.lofat.config import LoFatConfig
-from repro.lofat.path_encoder import LoopPathEncoder, PathEncoding
+from repro.lofat.path_encoder import MAX_INDIRECT_CODES, LoopPathEncoder, PathEncoding
 
 
 class TestFigure4Encodings:
@@ -79,6 +77,33 @@ class TestEncoderBehaviour:
         assert encoding.truncated
         assert len(encoding.bits) == 4
         assert encoding.branch_count == 6
+
+    def test_shorter_event_still_fits_after_truncation(self):
+        """Truncation drops only the events that do not fit: a later, narrower
+        event is still appended."""
+        config = LoFatConfig(max_branches_per_path=4, indirect_target_bits=2,
+                             max_indirect_branches_per_path=1)
+        encoder = LoopPathEncoder(config)
+        for _ in range(3):
+            encoder.on_conditional(True)
+        encoder.on_indirect(0x800)      # 2 bits: does not fit
+        encoder.on_conditional(False)   # 1 bit: fits
+        assert encoder.path_id == int("1" + "1110", 2)
+        encoding = encoder.finish()
+        assert encoding.bits == "1110"
+        assert encoding.truncated
+        assert encoding.indirect_codes == (1,)
+
+    def test_indirect_codes_stop_at_the_serialisable_count(self):
+        encoder = LoopPathEncoder()
+        for index in range(300):
+            encoder.on_indirect(0x100 + 4 * (index % 3))
+        encoding = encoder.finish()
+        assert len(encoding.indirect_codes) == MAX_INDIRECT_CODES == 255
+        assert encoding.branch_count == 300
+        assert encoding.truncated
+        blob = encoding.to_bytes()
+        assert PathEncoding.from_bytes(blob).to_bytes() == blob
 
     def test_finish_resets_path_but_keeps_cam(self):
         encoder = LoopPathEncoder()

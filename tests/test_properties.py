@@ -11,13 +11,12 @@ on higher-level invariants of the LO-FAT pipeline:
   matches its Python reference model for arbitrary parameters.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cpu.core import Cpu
 from repro.isa.assembler import assemble
 from repro.lofat.config import LoFatConfig
-from repro.lofat.engine import LoFatEngine, attest_execution
+from repro.lofat.engine import attest_execution
 from repro.lofat.loop_counter_memory import LoopCounterMemory
 from repro.lofat.path_encoder import LoopPathEncoder, PathEncoding
 from repro.lofat.target_cam import TargetCam
@@ -92,6 +91,46 @@ class TestPathEncoderProperties:
         assert a.path_id == b.path_id
 
 
+def _reference_encoding(events, config):
+    """The path encoding as a bit string, built chunk by chunk: each event's
+    bits are appended only if they still fit in ``max_branches_per_path``."""
+    cam = TargetCam(config.indirect_target_bits)
+    bits, codes, truncated = "", [], False
+    for kind, value in events:
+        if kind == "cond":
+            chunk = "1" if value else "0"
+        elif kind == "jump":
+            chunk = "1"
+        else:
+            code = cam.encode(value)
+            codes.append(code)
+            chunk = format(code, "0%db" % config.indirect_target_bits)
+        if len(bits) + len(chunk) > config.max_branches_per_path:
+            truncated = True
+        else:
+            bits += chunk
+    return PathEncoding(bits=bits, indirect_codes=tuple(codes[:255]),
+                        branch_count=len(events), truncated=truncated)
+
+
+class TestIntegerPathState:
+    @given(events=st.lists(_EVENT, max_size=24),
+           limit=st.integers(min_value=1, max_value=20),
+           code_bits=st.integers(min_value=1, max_value=5))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_string_reference(self, events, limit, code_bits):
+        """The integer value/width state encodes exactly what the bit-string
+        model does, truncation included, and its path ID is the encoding's."""
+        config = LoFatConfig(max_branches_per_path=limit, indirect_target_bits=code_bits,
+                             max_indirect_branches_per_path=0)
+        encoder = LoopPathEncoder(config)
+        _apply_events(encoder, events)
+        path_id = encoder.path_id
+        encoding = encoder.finish()
+        assert encoding == _reference_encoding(events, config)
+        assert path_id == encoding.path_id
+
+
 class TestCounterMemoryProperties:
     @given(paths=st.lists(st.text(alphabet="01", min_size=1, max_size=8), min_size=1,
                           max_size=60))
@@ -99,7 +138,7 @@ class TestCounterMemoryProperties:
     def test_total_iterations_equals_recorded_paths(self, paths):
         memory = LoopCounterMemory(LoFatConfig(counter_width_bits=16))
         for bits in paths:
-            memory.record_path(PathEncoding(bits=bits))
+            memory.record_path(PathEncoding(bits=bits).path_id)
         assert memory.total_iterations == len(paths)
         assert memory.distinct_paths == len(set(paths))
 
@@ -109,12 +148,13 @@ class TestCounterMemoryProperties:
     def test_first_seen_order_matches_input_order(self, paths):
         memory = LoopCounterMemory(LoFatConfig(counter_width_bits=16))
         for bits in paths:
-            memory.record_path(PathEncoding(bits=bits))
+            memory.record_path(PathEncoding(bits=bits).path_id)
         seen = []
         for bits in paths:
             if bits not in seen:
                 seen.append(bits)
-        assert [bits for bits, _ in memory.paths_in_first_seen_order()] == seen
+        assert [path_id for path_id, _ in memory.paths_in_first_seen_order()] == [
+            PathEncoding(bits=bits).path_id for bits in seen]
 
 
 class TestTargetCamProperties:
