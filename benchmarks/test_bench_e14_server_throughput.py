@@ -32,8 +32,6 @@ import re
 import subprocess
 import sys
 
-import pytest
-
 from repro.analysis.report import format_table
 from repro.service.client import AttestationClient
 from repro.service.loadgen import run_fleet_load

@@ -41,7 +41,6 @@ from repro.cpu.core import Cpu, CpuConfig
 from repro.cpu.trace import ControlFlowTrace
 from repro.cpu.tracefile import (
     _HEADER,
-    _RECORD,
     _V2_COUNTERS,
     TraceFormatError,
     dumps_trace,

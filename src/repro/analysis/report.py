@@ -6,7 +6,7 @@ the reproduction's output is uniform and easy to diff against EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 
 def _render_cell(value) -> str:

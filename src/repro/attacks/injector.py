@@ -22,7 +22,7 @@ known address).  The adversarial scenario generator
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.cpu.core import Cpu
 from repro.isa.assembler import Program

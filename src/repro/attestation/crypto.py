@@ -22,7 +22,6 @@ import hashlib
 import hmac
 import os
 from dataclasses import dataclass, field
-from typing import Optional
 
 
 class KeyAccessError(RuntimeError):

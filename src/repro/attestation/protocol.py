@@ -15,8 +15,8 @@ and static attestation alike, and both round-trip bidirectionally:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 from repro.lofat.metadata import LazyLoopMetadata, LoopMetadata
 

@@ -22,7 +22,7 @@ the measurement state or the signing key).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 from repro.attestation.crypto import SecureKeyStore, sign_report
 from repro.attestation.protocol import AttestationChallenge, AttestationReport

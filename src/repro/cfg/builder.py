@@ -10,8 +10,8 @@ branches, returns).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.cfg.basic_blocks import BasicBlock, split_basic_blocks
 from repro.cpu.trace import BranchKind, classify_branch

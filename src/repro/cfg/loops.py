@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.cfg.builder import ControlFlowGraph
-from repro.cfg.dominators import compute_dominators
 
 
 @dataclass

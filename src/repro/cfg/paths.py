@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
-from repro.cfg.builder import ControlFlowGraph, EdgeKind
+from repro.cfg.builder import ControlFlowGraph
 from repro.cpu.trace import BranchKind, classify_branch
 
 

@@ -37,7 +37,7 @@ from repro.cpu.trace import (
 from repro.isa.assembler import Program
 from repro.isa.encoding import EncodingError, decode
 from repro.isa.instructions import Instruction
-from repro.isa.registers import RegisterFile, to_signed, to_unsigned
+from repro.isa.registers import RegisterFile, to_unsigned
 
 #: Type of the per-retired-instruction monitor callbacks (e.g. LO-FAT).
 Monitor = Callable[[TraceRecord], None]

@@ -12,7 +12,7 @@ whose register writes are incidental to their real effect.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List
 
 from repro.cfg.builder import ControlFlowGraph
 from repro.dataflow import engine

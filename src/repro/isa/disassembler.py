@@ -7,7 +7,7 @@ re-assemble).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 from repro.isa.encoding import decode
 from repro.isa.instructions import Instruction, InstructionFormat

@@ -14,7 +14,6 @@ from typing import Dict, Optional, Tuple
 from repro.isa.instructions import (
     Instruction,
     InstructionFormat,
-    InstructionSpec,
     OPCODE_BRANCH,
     OPCODE_JAL,
     OPCODE_JALR,

@@ -29,8 +29,8 @@ Builtins map to the CPU's syscall ABI: ``read()`` (a7=5), ``print(v)``
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Set, Tuple
 
 from repro.isa.assembler import Program, assemble
 from repro.lang.astnodes import (

@@ -22,12 +22,11 @@ seed -- so campaign specs stay stable while inputs vary.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.adversary.seeds import derive_rng, resolve_seed
 from repro.lang.codegen import CompiledProgram, compile_source
-from repro.lang.errors import LangError
 from repro.workloads.common import WORKLOAD_REGISTRY, Workload
 
 #: All family arithmetic stays below 2**31: non-negative and wrap-free.

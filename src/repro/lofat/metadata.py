@@ -17,7 +17,7 @@ loop and indirect targets, §6.1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.lofat.path_encoder import PathEncoding
 

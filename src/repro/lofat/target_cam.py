@@ -16,7 +16,7 @@ overflow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 #: The reserved all-zero code reported when the CAM is out of entries.

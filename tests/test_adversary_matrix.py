@@ -13,8 +13,6 @@ attestation protocol under every scheme.  The matrix the paper claims:
   documented blind spot -- expected miss, asserted).
 """
 
-import os
-
 import pytest
 
 from repro.adversary import GeneratorLimits, derive_rng, generate_suite, resolve_seed

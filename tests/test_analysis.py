@@ -1,7 +1,5 @@
 """Tests for the analysis drivers (performance comparison, sweeps, tables)."""
 
-import pytest
-
 from repro.analysis.performance import compare_all_workloads, compare_workload
 from repro.analysis.report import format_percent, format_table
 from repro.analysis.sweep import (

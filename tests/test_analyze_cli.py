@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from repro.cli import main
 
 #: A small, fast target mix: one corpus entry and one workload.

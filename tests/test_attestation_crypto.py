@@ -1,7 +1,5 @@
 """Unit tests for report signing and the key store."""
 
-import pytest
-
 from repro.attestation.crypto import (
     SecureKeyStore,
     fresh_nonce,

@@ -1,7 +1,5 @@
 """Unit tests for basic-block partitioning."""
 
-import pytest
-
 from repro.cfg.basic_blocks import split_basic_blocks
 from repro.isa.assembler import assemble
 

@@ -1,7 +1,5 @@
 """Unit tests for dominator analysis."""
 
-import pytest
-
 from repro.cfg.builder import build_cfg
 from repro.cfg.dominators import (
     compute_dominators,

@@ -6,7 +6,6 @@ from repro.cfg.builder import build_cfg
 from repro.cfg.loops import find_natural_loops
 from repro.cfg.paths import EdgeValidity, PathChecker
 from repro.cpu.core import run_program
-from repro.isa.assembler import assemble
 from repro.workloads import get_workload
 
 

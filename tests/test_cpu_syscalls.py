@@ -1,7 +1,5 @@
 """Unit tests for the syscall environment."""
 
-import pytest
-
 from repro.cpu.core import run_program
 from repro.cpu.memory import Memory, MemoryRegion, Permissions
 from repro.cpu.syscalls import SyscallHandler

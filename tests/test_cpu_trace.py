@@ -1,10 +1,7 @@
 """Unit tests for trace records and classification."""
 
-import pytest
-
 from repro.cpu.core import run_program
 from repro.cpu.trace import BranchKind, ExecutionTrace, TraceRecord, classify_branch
-from repro.isa.assembler import assemble
 from repro.isa.instructions import Instruction
 
 

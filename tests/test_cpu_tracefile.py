@@ -1,7 +1,5 @@
 """Tests for trace serialisation and offline attestation replay."""
 
-import io
-
 import pytest
 
 from repro.cpu.core import Cpu, CpuConfig

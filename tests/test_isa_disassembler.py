@@ -1,7 +1,5 @@
 """Unit tests for the disassembler."""
 
-import pytest
-
 from repro.isa.assembler import assemble
 from repro.isa.disassembler import disassemble, disassemble_program, format_instruction
 from repro.isa.encoding import encode

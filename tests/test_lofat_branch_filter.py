@@ -4,8 +4,6 @@ The filter is exercised through the LO-FAT engine attached to small, purpose
 written programs, mirroring how the hardware block sees the pipeline signals.
 """
 
-import pytest
-
 from repro.cpu.core import Cpu
 from repro.isa.assembler import assemble
 from repro.lofat.branch_filter import FilterEventKind

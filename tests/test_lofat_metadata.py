@@ -1,7 +1,5 @@
 """Unit tests for the loop metadata L."""
 
-import pytest
-
 from repro.lofat.metadata import LoopMetadata, LoopRecord, MetadataGenerator, PathRecord
 from repro.lofat.path_encoder import PathEncoding
 

@@ -3,7 +3,7 @@
 import pytest
 
 import repro
-from repro import attest_workload, all_workloads, get_workload
+from repro import attest_workload, all_workloads
 from repro.lofat import LoFatConfig
 
 

@@ -286,7 +286,7 @@ class TestWorkerProgramCache:
             WORKLOAD_REGISTRY.pop(name, None)
 
     def test_parameterized_subclass_build_not_served_stale(self):
-        from dataclasses import dataclass, field
+        from dataclasses import dataclass
         from repro.service.worker import _assembled_program
         from repro.workloads import WORKLOAD_REGISTRY
         from repro.workloads.common import Workload

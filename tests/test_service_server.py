@@ -22,7 +22,6 @@ import pytest
 
 from repro.attestation.framing import (
     FrameType,
-    encode_frame,
     hello_payload,
     read_frame,
     write_frame,
