@@ -75,13 +75,15 @@ class Verifier:
         self._verification_keys: Dict[str, bytes] = {}
         self._outstanding_nonces: Dict[bytes, AttestationChallenge] = {}
         self._used_nonces: set = set()
-        #: Memoised structural verdicts keyed by (program_id, serialized L).
-        #: A standing verifier sees the same benign metadata thousands of
-        #: times; the CFG checks are pure in the program analysis, the
-        #: installed policy and the metadata bytes, so each distinct L is
-        #: checked once (the cache is cleared when a policy is installed or
-        #: an id is re-registered with a different binary).
-        self._structural_cache: Dict[Tuple[str, bytes], VerificationResult] = {}
+        #: Memoised structural verdicts keyed by (program_id, scheme,
+        #: serialized L).  A standing verifier sees the same benign metadata
+        #: thousands of times; the CFG checks are pure in the program
+        #: analysis, the installed policy, the scheme's counter width and
+        #: the metadata bytes, so each distinct L is checked once (the cache
+        #: is cleared when a policy is installed, a scheme is reconfigured
+        #: or an id is re-registered with a different binary).
+        self._structural_cache: Dict[
+            Tuple[str, str, bytes], VerificationResult] = {}
         #: Per-program StaticPolicy artifacts enforced before replay/lookup.
         self._policies: Dict[str, StaticPolicy] = {}
 
@@ -155,6 +157,8 @@ class Verifier:
         if config is None or isinstance(config, dict):
             config = backend.configure(config or {})
         self._scheme_configs[scheme] = config
+        # Memoised structural verdicts depend on the counter width.
+        self._structural_cache.clear()
 
     def scheme_config(self, scheme: str):
         """The configuration this verifier replays ``scheme`` references with."""
@@ -276,11 +280,13 @@ class Verifier:
         del self._outstanding_nonces[report.nonce]
         self._used_nonces.add(report.nonce)
 
-        cache_key = (report.program_id, report.metadata.to_bytes())
+        cache_key = (report.program_id, report.scheme,
+                     report.metadata.to_bytes())
         structural = self._structural_cache.get(cache_key)
         if structural is None:
             structural = self._check_metadata_structure(
-                report.program_id, report.metadata)
+                report.program_id, report.metadata,
+                self.scheme_config(report.scheme))
             if len(self._structural_cache) >= _STRUCTURAL_CACHE_MAX:
                 self._structural_cache.clear()
             self._structural_cache[cache_key] = structural
@@ -308,7 +314,7 @@ class Verifier:
 
     # -------------------------------------------------------------- internals
     def _check_metadata_structure(
-        self, program_id: str, metadata: LoopMetadata
+        self, program_id: str, metadata: LoopMetadata, config
     ) -> VerificationResult:
         """Validate the loop metadata against the static CFG and policy.
 
@@ -318,7 +324,14 @@ class Verifier:
         screened against the proven loop-entry set and trip-count
         intervals — rejecting infeasible reports here costs a few set
         lookups instead of a full golden replay.
+
+        A loop's per-path counts must add up to its iteration count, unless
+        a path counter sits at the saturation value of ``config``'s
+        ``counter_width_bits``: the hardware's counters stop there, so the
+        sum may then fall short of (but never exceed) the iteration count.
         """
+        width = getattr(config, "counter_width_bits", None)
+        saturated = None if width is None else (1 << width) - 1
         knowledge = self._programs[program_id]
         instruction_addresses = knowledge.instruction_addresses
         policy = self._policies.get(program_id)
@@ -356,7 +369,10 @@ class Verifier:
                     % record.entry,
                 )
             iteration_sum = sum(path.iterations for path in record.paths)
-            if iteration_sum != record.iterations:
+            if iteration_sum != record.iterations and not (
+                iteration_sum < record.iterations
+                and any(path.iterations == saturated for path in record.paths)
+            ):
                 return VerificationResult(
                     False, VerdictReason.METADATA_CFG_VIOLATION,
                     "loop at %#x iteration counts are inconsistent" % record.entry,

@@ -26,6 +26,12 @@ only) capture -- writing one as v1 is an error rather than a silent loss.
 
 The decoded instruction is reconstructed from the stored instruction word, so
 round-tripping a trace preserves everything the LO-FAT engine needs.
+
+The reader parses the record array in one pass: it reads the bytes of all
+``count`` records at once, unpacks them with ``struct.iter_unpack`` and
+decodes each distinct ``(word, pc)`` once per call.  Records are checked in
+file order and every rejection names the first faulty record, so a fault in
+record *k* is reported even when the file is also truncated after it.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from __future__ import annotations
 import hashlib
 import io
 import struct
-from typing import BinaryIO, Callable, Iterable, Union
+from typing import BinaryIO, Callable, Dict, Iterable, List, Tuple, Union
 
 from repro.cpu.trace import (
     BranchKind,
@@ -42,6 +48,7 @@ from repro.cpu.trace import (
     TraceRecord,
 )
 from repro.isa.encoding import EncodingError, decode
+from repro.isa.instructions import Instruction
 
 #: File magic and current format version.
 MAGIC = b"LFTR"
@@ -140,40 +147,81 @@ def dumps_trace(
     return buffer.getvalue()
 
 
-def _read_records(stream: BinaryIO, count: int, control_flow_only: bool = False):
-    for position in range(count):
-        raw = stream.read(_RECORD.size)
-        if len(raw) != _RECORD.size:
-            raise TraceFormatError("truncated trace record")
-        index, cycle, pc, word, next_pc, kind_code, taken = _RECORD.unpack(raw)
-        if kind_code not in _CODE_TO_KIND:
-            raise TraceFormatError("unknown branch-kind code: %d" % kind_code)
-        if control_flow_only and kind_code == _KIND_TO_CODE[BranchKind.NOT_CONTROL_FLOW]:
-            raise TraceFormatError(
-                "record %d: non-control-flow record in a v2 (control-flow-only) trace"
-                % position
-            )
-        if taken not in (0, 1):
-            raise TraceFormatError(
-                "record %d: invalid taken byte %d (must be 0 or 1)" % (position, taken)
-            )
-        try:
-            instruction = decode(word, address=pc)
-        except EncodingError as exc:
-            raise TraceFormatError(
-                "record %d: undecodable instruction word 0x%08x: %s"
-                % (position, word, exc)
-            ) from exc
-        yield TraceRecord(
-            index=index,
-            cycle=cycle,
-            pc=pc,
-            word=word,
-            instruction=instruction,
-            next_pc=next_pc,
-            kind=_CODE_TO_KIND[kind_code],
-            taken=bool(taken),
+#: Largest single ``read`` of record bytes: the record count is an untrusted
+#: u32, so a stream is read in bounded chunks rather than asked for up to
+#: ~94 GB at once (a short file then ends the loop early).
+_READ_CHUNK = 1 << 20
+
+
+def _read_record_bytes(stream: BinaryIO, size: int) -> bytes:
+    """Read up to ``size`` bytes (fewer only at end of stream)."""
+    chunks = []
+    while size > 0:
+        chunk = stream.read(min(size, _READ_CHUNK))
+        if not chunk:
+            break
+        chunks.append(chunk)
+        size -= len(chunk)
+    return b"".join(chunks)
+
+
+def _reject_record(position: int, kind_code: int, taken: int,
+                   control_flow_only: bool) -> None:
+    """Raise the :class:`TraceFormatError` for a record that fails a field
+    check (same checks, in the same order, as the parse loop's fast test)."""
+    if kind_code not in _CODE_TO_KIND:
+        raise TraceFormatError("unknown branch-kind code: %d" % kind_code)
+    if control_flow_only and kind_code == _KIND_TO_CODE[BranchKind.NOT_CONTROL_FLOW]:
+        raise TraceFormatError(
+            "record %d: non-control-flow record in a v2 (control-flow-only) trace"
+            % position
         )
+    raise TraceFormatError(
+        "record %d: invalid taken byte %d (must be 0 or 1)" % (position, taken)
+    )
+
+
+def _read_records(
+    stream: BinaryIO, count: int, control_flow_only: bool = False
+) -> List[TraceRecord]:
+    """Parse ``count`` records in one pass over one read of their bytes.
+
+    Every complete record is checked in order before a short tail is
+    reported, so the first faulty record wins over a truncation after it.
+    Each distinct ``(word, pc)`` is decoded once per call; the memo is local
+    so no process-wide state outlives the parse.
+    """
+    size = _RECORD.size
+    data = _read_record_bytes(stream, count * size)
+    complete = len(data) // size
+    kinds = _CODE_TO_KIND
+    noncf_code = (
+        _KIND_TO_CODE[BranchKind.NOT_CONTROL_FLOW] if control_flow_only else None
+    )
+    decoded: Dict[Tuple[int, int], Instruction] = {}
+    records: List[TraceRecord] = []
+    append = records.append
+    for index, cycle, pc, word, next_pc, kind_code, taken in _RECORD.iter_unpack(
+        memoryview(data)[:complete * size]
+    ):
+        kind = kinds.get(kind_code)
+        if kind is None or kind_code == noncf_code or taken > 1:
+            _reject_record(len(records), kind_code, taken, control_flow_only)
+        instruction = decoded.get((word, pc))
+        if instruction is None:
+            try:
+                instruction = decode(word, address=pc)
+            except EncodingError as exc:
+                raise TraceFormatError(
+                    "record %d: undecodable instruction word 0x%08x: %s"
+                    % (len(records), word, exc)
+                ) from exc
+            decoded[(word, pc)] = instruction
+        append(TraceRecord(index, cycle, pc, word, instruction, next_pc, kind,
+                           taken == 1))
+    if complete != count:
+        raise TraceFormatError("truncated trace record")
+    return records
 
 
 def load_trace(stream: BinaryIO) -> Union[ExecutionTrace, ControlFlowTrace]:
@@ -192,10 +240,7 @@ def load_trace(stream: BinaryIO) -> Union[ExecutionTrace, ControlFlowTrace]:
         raise TraceFormatError("unsupported trace version: %d" % version)
 
     if version == 1:
-        trace = ExecutionTrace()
-        for record in _read_records(stream, count):
-            trace.append(record)
-        return trace
+        return ExecutionTrace(records=_read_records(stream, count))
 
     counters = stream.read(_V2_COUNTERS.size)
     if len(counters) != _V2_COUNTERS.size:
@@ -204,7 +249,7 @@ def load_trace(stream: BinaryIO) -> Union[ExecutionTrace, ControlFlowTrace]:
     if flags & ~_FLAG_REPLAYABLE:
         raise TraceFormatError("undefined v2 flag bits set: 0x%02x" % flags)
     return ControlFlowTrace(
-        records=list(_read_records(stream, count, control_flow_only=True)),
+        records=_read_records(stream, count, control_flow_only=True),
         instructions=instructions,
         cycles=cycles,
         replayable=bool(flags & _FLAG_REPLAYABLE),

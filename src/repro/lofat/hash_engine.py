@@ -20,8 +20,9 @@ monitor (paper §5.3).  Two aspects matter for the reproduction:
 from __future__ import annotations
 
 import hashlib
+from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Deque, Iterable, List, Optional, Sequence, Tuple
 
 from repro.lofat.config import LoFatConfig
 
@@ -67,7 +68,7 @@ class HashEngine:
         # Cycle-model state.
         self._engine_cycle = 0
         self._words_in_block = 0
-        self._buffer: List[int] = []  # arrival cycles of queued pairs
+        self._buffer: Deque[int] = deque()  # arrival cycles of queued pairs
 
     # ----------------------------------------------------------- functional
     def absorb_pair(self, src: int, dest: int, arrival_cycle: Optional[int] = None) -> None:
@@ -84,7 +85,7 @@ class HashEngine:
         self._absorbed.append((src, dest))
         self.stats.pairs_absorbed += 1
         if arrival_cycle is not None:
-            self._advance_cycle_model(arrival_cycle)
+            self._advance_cycle_model((arrival_cycle,))
 
     def absorb_run(
         self,
@@ -97,8 +98,8 @@ class HashEngine:
         pair -- the digest depends only on the absorbed byte sequence -- but
         the sponge is fed one concatenated buffer, which is what makes the
         batched observation path cheap.  ``arrivals`` optionally carries the
-        per-pair engine arrival cycles; the cycle model is then advanced in
-        one amortized pass over the run instead of one call per pair.
+        per-pair engine arrival cycles; the cycle model then advances over
+        the whole run in one loop.
         """
         if self._finalized is not None:
             raise RuntimeError("hash engine already finalized")
@@ -115,9 +116,7 @@ class HashEngine:
         self._absorbed.extend(masked)
         self.stats.pairs_absorbed += len(masked)
         if arrivals is not None:
-            advance = self._advance_cycle_model
-            for arrival in arrivals:
-                advance(arrival)
+            self._advance_cycle_model(arrivals)
 
     def absorb_chunk(
         self,
@@ -141,9 +140,7 @@ class HashEngine:
         self._absorbed.extend(pairs)
         self.stats.pairs_absorbed += len(pairs)
         if arrivals is not None:
-            advance = self._advance_cycle_model
-            for arrival in arrivals:
-                advance(arrival)
+            self._advance_cycle_model(arrivals)
 
     def absorb_bytes(self, data: bytes) -> None:
         """Absorb raw bytes (used to append the loop metadata to the digest)."""
@@ -183,44 +180,71 @@ class HashEngine:
         return list(self._absorbed)
 
     # ----------------------------------------------------------- cycle model
-    def _advance_cycle_model(self, arrival_cycle: int) -> None:
-        """Advance the absorb pipeline up to ``arrival_cycle`` and enqueue."""
-        config = self.config
-        # Drain whatever the engine could absorb before this arrival.
-        self._drain_until(arrival_cycle)
+    def _advance_cycle_model(self, arrivals: Iterable[int]) -> None:
+        """Enqueue pairs arriving at ``arrivals``, draining as time passes.
 
-        if len(self._buffer) >= config.hash_input_buffer_depth:
-            # The real hardware cannot drop pairs; we record the event so the
-            # experiments can show which buffer depth is sufficient.
-            self.stats.dropped_pairs += 1
-            return
-        self._buffer.append(arrival_cycle)
-        occupancy = len(self._buffer)
-        if occupancy > self.stats.max_buffer_occupancy:
-            self.stats.max_buffer_occupancy = occupancy
-
-    def _drain_until(self, cycle: int) -> None:
-        """Absorb queued pairs while engine time is behind ``cycle``."""
+        Before each arrival the engine absorbs whatever queued pairs it can
+        (one word per cycle, a pad stall after every full block); the
+        arrival is then queued, or counted as dropped when the buffer is
+        full.  The whole run is one loop with the model state in locals.
+        """
         config = self.config
-        while self._buffer and self._engine_cycle < cycle:
-            arrival = self._buffer[0]
-            start = max(self._engine_cycle, arrival)
-            if start >= cycle:
-                break
-            self._buffer.pop(0)
-            self._engine_cycle = start + 1  # one word absorbed per cycle
-            self._words_in_block += 1
-            self.stats.last_absorb_cycle = self._engine_cycle
-            if self._words_in_block == config.absorbs_per_block:
-                # Padding buffer full: cannot absorb for the stall window.
-                self._engine_cycle += config.hash_pad_stall_cycles
-                self.stats.pad_stalls += 1
-                self.stats.stall_cycles += config.hash_pad_stall_cycles
-                self._words_in_block = 0
+        depth = config.hash_input_buffer_depth
+        per_block = config.absorbs_per_block
+        stall = config.hash_pad_stall_cycles
+        stats = self.stats
+        buffer = self._buffer
+        popleft = buffer.popleft
+        enqueue = buffer.append
+        engine_cycle = self._engine_cycle
+        words = self._words_in_block
+        last_absorb = stats.last_absorb_cycle
+        max_occupancy = stats.max_buffer_occupancy
+        stalls = dropped = 0
+        for arrival in arrivals:
+            while buffer and engine_cycle < arrival:
+                head = buffer[0]
+                start = engine_cycle if engine_cycle > head else head
+                if start >= arrival:
+                    break
+                popleft()
+                engine_cycle = last_absorb = start + 1  # one word per cycle
+                words += 1
+                if words == per_block:
+                    # Padding buffer full: cannot absorb for the stall window.
+                    engine_cycle += stall
+                    stalls += 1
+                    words = 0
+            if len(buffer) >= depth:
+                # The real hardware cannot drop pairs; we record the event so
+                # the experiments can show which buffer depth is sufficient.
+                dropped += 1
+                continue
+            enqueue(arrival)
+            if len(buffer) > max_occupancy:
+                max_occupancy = len(buffer)
+        self._engine_cycle = engine_cycle
+        self._words_in_block = words
+        stats.last_absorb_cycle = last_absorb
+        stats.max_buffer_occupancy = max_occupancy
+        stats.pad_stalls += stalls
+        stats.stall_cycles += stalls * stall
+        stats.dropped_pairs += dropped
 
     def flush_cycle_model(self) -> None:
-        """Drain any queued pairs (used at the end of the attested run)."""
-        self._drain_until(float("inf"))
+        """Absorb every queued pair (used at the end of the attested run)."""
+        config = self.config
+        stats = self.stats
+        buffer = self._buffer
+        while buffer:
+            self._engine_cycle = max(self._engine_cycle, buffer.popleft()) + 1
+            stats.last_absorb_cycle = self._engine_cycle
+            self._words_in_block += 1
+            if self._words_in_block == config.absorbs_per_block:
+                self._engine_cycle += config.hash_pad_stall_cycles
+                stats.pad_stalls += 1
+                stats.stall_cycles += config.hash_pad_stall_cycles
+                self._words_in_block = 0
 
     @property
     def engine_cycle(self) -> int:

@@ -35,6 +35,7 @@ import hashlib
 import json
 import os
 import threading
+from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -47,19 +48,72 @@ from repro.service.fsutil import atomic_write_text
 #: during capture.
 _CPU_CONFIG_IGNORED_FIELDS = frozenset({"collect_trace", "engine"})
 
-#: Process-wide cache of deserialised traces, keyed by content digest.
-#: Parsing a v2 tracefile decodes every stored instruction word; one
-#: execution is replayed once per (scheme, config) sweep point, so caching
-#: the parsed form makes every replay after the first skip the decoder.
-#: Sessions never mutate the records, so sharing them is safe (same
-#: argument as the CPU's decoded-instruction cache).
-_PARSED_TRACES: Dict[str, object] = {}
-_PARSED_TRACES_MAX = 128
-#: The attestation server replays traces on executor threads, so the
-#: evict-then-insert sequence below can run concurrently; the lock keeps an
-#: eviction from dropping an entry another thread just parsed (a redundant
-#: parse would be harmless, a torn dict mutation would not).
-_PARSED_TRACES_LOCK = threading.Lock()
+class ParsedTraceMemo:
+    """Least-recently-used memo of parsed traces, bounded by blob bytes.
+
+    Keyed by trace content digest.  The bound is the total size of the
+    serialised blobs behind the resident entries: a v2 record is 22 bytes
+    on disk, so the byte budget bounds the parsed records a long-lived
+    server keeps resident.  When an insert goes over budget, entries are
+    evicted one at a time from the least recently used end; the entry just
+    inserted is never evicted, so the memo is never emptied by filling it.
+    Thread-safe: the attestation server replays on executor threads.
+    """
+
+    def __init__(self, max_bytes: int) -> None:
+        self.max_bytes = max_bytes
+        self._entries: "OrderedDict[str, Tuple[object, int]]" = OrderedDict()
+        self._bytes = 0
+        self._lock = threading.Lock()
+
+    def get(self, digest: str):
+        """The parsed trace for ``digest`` (now most recent), or None."""
+        with self._lock:
+            entry = self._entries.get(digest)
+            if entry is None:
+                return None
+            self._entries.move_to_end(digest)
+            return entry[0]
+
+    def put(self, digest: str, trace, size: int) -> None:
+        """Insert ``trace`` (parsed from ``size`` blob bytes), then evict
+        least recently used entries until the memo is within budget."""
+        with self._lock:
+            old = self._entries.pop(digest, None)
+            if old is not None:
+                self._bytes -= old[1]
+            self._entries[digest] = (trace, size)
+            self._bytes += size
+            while self._bytes > self.max_bytes and len(self._entries) > 1:
+                _, (_, evicted) = self._entries.popitem(last=False)
+                self._bytes -= evicted
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self._bytes = 0
+
+    @property
+    def resident_bytes(self) -> int:
+        """Total blob bytes behind the resident entries."""
+        return self._bytes
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __contains__(self, digest: str) -> bool:
+        return digest in self._entries
+
+
+#: Process-wide memo of deserialised traces, keyed by content digest.  One
+#: execution is replayed once per (scheme, config) sweep point and again
+#: for its verifier reference, so memoising the parsed form makes every
+#: replay after the first skip the parser.  Sessions never mutate the
+#: records, so sharing them is safe (same argument as the CPU's
+#: decoded-instruction cache).  The 4 MiB budget holds about 190,000
+#: records -- several times one pass of a family-matrix campaign (about
+#: 40,000 records over 142 traces) -- so a campaign parses each trace once.
+_PARSED_TRACES = ParsedTraceMemo(max_bytes=4 << 20)
 
 
 def parsed_trace(trace_bytes: bytes, digest: Optional[str] = None):
@@ -68,11 +122,10 @@ def parsed_trace(trace_bytes: bytes, digest: Optional[str] = None):
         digest = trace_digest(trace_bytes)
     trace = _PARSED_TRACES.get(digest)
     if trace is None:
+        # Parsed outside the lock: two threads missing on one digest parse
+        # it twice, which is harmless; the memo keeps one.
         trace = loads_trace(trace_bytes)
-        with _PARSED_TRACES_LOCK:
-            if len(_PARSED_TRACES) >= _PARSED_TRACES_MAX:
-                _PARSED_TRACES.clear()
-            _PARSED_TRACES[digest] = trace
+        _PARSED_TRACES.put(digest, trace, len(trace_bytes))
     return trace
 
 

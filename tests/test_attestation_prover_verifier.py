@@ -185,3 +185,74 @@ class TestMetadataStructuralChecks:
         report.signature = sign_report(report.payload, report.nonce, prover.keystore)
         verdict = verifier.verify(report, device_id="device-7")
         assert verdict.reason is VerdictReason.METADATA_CFG_VIOLATION
+
+
+#: A counted loop with one path, run 300 times: past the 255 a default
+#: 8-bit LO-FAT path counter can hold.
+COUNTED_300_SOURCE = """
+    .text
+_start:
+    li   a0, 300
+    li   t0, 0
+loop:
+    bge  t0, a0, done
+    addi t0, t0, 1
+    j    loop
+done:
+    li   a0, 0
+    li   a7, 93
+    ecall
+"""
+
+
+class TestSaturatedLoopCounters:
+    """Path counters saturate at 2^counter_width_bits - 1, as in hardware."""
+
+    @pytest.fixture
+    def counted(self):
+        from repro.isa.assembler import assemble
+
+        program = assemble(COUNTED_300_SOURCE)
+        prover = Prover({"counted": program}, device_id="device-7")
+        verifier = Verifier()
+        verifier.register_program("counted", program)
+        verifier.register_device_key(
+            "device-7", prover.keystore.export_for_verifier())
+        return prover, verifier
+
+    def test_benign_saturated_loop_accepted(self, counted):
+        prover, verifier = counted
+        report = prover.attest(verifier.challenge("counted", []))
+        (record,) = list(report.metadata)
+        assert record.iterations == 300
+        assert max(path.iterations for path in record.paths) == 255
+        for mode in ("structural", "replay"):
+            report = prover.attest(verifier.challenge("counted", []))
+            verdict = verifier.verify(report, device_id="device-7", mode=mode)
+            assert verdict.accepted, verdict
+
+    def test_path_sum_above_iterations_still_rejected(self, counted):
+        from repro.attestation.crypto import sign_report
+
+        prover, verifier = counted
+        report = prover.attest(verifier.challenge("counted", []))
+        # A saturated counter excuses a sum below the iteration count,
+        # never one above it.
+        report.metadata.loops[0].iterations = sum(
+            path.iterations for path in report.metadata.loops[0].paths) - 1
+        report.signature = sign_report(
+            report.payload, report.nonce, prover.keystore)
+        verdict = verifier.verify(report, device_id="device-7",
+                                  mode="structural")
+        assert verdict.reason is VerdictReason.METADATA_CFG_VIOLATION
+        assert "inconsistent" in verdict.detail
+
+    def test_wider_counters_require_exact_sums(self, counted):
+        """A verifier provisioned with 16-bit counters does not read 255 as
+        saturated, so an 8-bit prover's short sum is inconsistent to it."""
+        prover, verifier = counted
+        verifier.configure_scheme("lofat", {"counter_width_bits": 16})
+        report = prover.attest(verifier.challenge("counted", []))
+        verdict = verifier.verify(report, device_id="device-7",
+                                  mode="structural")
+        assert verdict.reason is VerdictReason.METADATA_CFG_VIOLATION

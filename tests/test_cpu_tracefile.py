@@ -190,3 +190,125 @@ class TestFormatErrors:
         data[4] = 0xFF  # bump the version field
         with pytest.raises(TraceFormatError):
             loads_trace(bytes(data))
+
+
+#: Byte layout of a record, and where the record array starts per version.
+RECORD_SIZE = 22
+V1_RECORDS_AT = 10
+V2_RECORDS_AT = 27
+KIND_AT, TAKEN_AT, WORD_AT = 20, 21, 12
+
+
+def _v1_blob():
+    result, _ = run_workload("figure4_loop")
+    return dumps_trace(result.trace)
+
+
+def _v2_blob():
+    _, capture = capture_workload("figure4_loop")
+    return dumps_trace(capture)
+
+
+def _poke(blob, records_at, position, offset, value):
+    """Overwrite bytes of record ``position`` at field ``offset``."""
+    data = bytearray(blob)
+    at = records_at + position * RECORD_SIZE + offset
+    data[at:at + len(value)] = value
+    return data
+
+
+#: Record faults that name their position: (offset, value, message).
+POSITIONED_FAULTS = {
+    "taken": (TAKEN_AT, b"\x02", "record %d: invalid taken byte 2"),
+    "undecodable": (WORD_AT, bytes(4), "record %d: undecodable"),
+}
+
+
+class TestRecordRejections:
+    """Every record-level rejection, raised at a record other than 0."""
+
+    POSITION = 3
+
+    def test_blobs_have_enough_records(self):
+        for blob, records_at in ((_v1_blob(), V1_RECORDS_AT),
+                                 (_v2_blob(), V2_RECORDS_AT)):
+            assert (len(blob) - records_at) // RECORD_SIZE > self.POSITION + 2
+
+    @pytest.mark.parametrize("fault", sorted(POSITIONED_FAULTS))
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_positioned_fault(self, fault, version):
+        blob, records_at = ((_v1_blob(), V1_RECORDS_AT) if version == 1
+                            else (_v2_blob(), V2_RECORDS_AT))
+        offset, value, message = POSITIONED_FAULTS[fault]
+        data = _poke(blob, records_at, self.POSITION, offset, value)
+        with pytest.raises(TraceFormatError) as error:
+            loads_trace(bytes(data))
+        assert str(error.value).startswith(message % self.POSITION)
+
+    @pytest.mark.parametrize("fault", sorted(POSITIONED_FAULTS))
+    def test_fault_before_truncated_tail_wins(self, fault):
+        offset, value, message = POSITIONED_FAULTS[fault]
+        data = _poke(_v2_blob(), V2_RECORDS_AT, self.POSITION, offset, value)
+        with pytest.raises(TraceFormatError) as error:
+            loads_trace(bytes(data[:-5]))
+        assert str(error.value).startswith(message % self.POSITION)
+
+    def test_noncf_record_in_v2(self):
+        data = _poke(_v2_blob(), V2_RECORDS_AT, self.POSITION, KIND_AT, b"\x00")
+        with pytest.raises(TraceFormatError,
+                           match="record %d: non-control-flow" % self.POSITION):
+            loads_trace(bytes(data[:-5]))
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_unknown_kind_code(self, version):
+        blob, records_at = ((_v1_blob(), V1_RECORDS_AT) if version == 1
+                            else (_v2_blob(), V2_RECORDS_AT))
+        data = _poke(blob, records_at, self.POSITION, KIND_AT, b"\x09")
+        # A later record's fault and a truncated tail must not mask it.
+        data = _poke(data, records_at, self.POSITION + 1, TAKEN_AT, b"\x07")
+        with pytest.raises(TraceFormatError,
+                           match="^unknown branch-kind code: 9$"):
+            loads_trace(bytes(data[:-5]))
+
+    def test_first_of_two_faults_wins(self):
+        data = _poke(_v2_blob(), V2_RECORDS_AT, self.POSITION + 1,
+                     WORD_AT, bytes(4))
+        data = _poke(data, V2_RECORDS_AT, self.POSITION, TAKEN_AT, b"\x05")
+        with pytest.raises(TraceFormatError,
+                           match="record %d: invalid taken" % self.POSITION):
+            loads_trace(bytes(data))
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_truncated_record(self, version):
+        blob = _v1_blob() if version == 1 else _v2_blob()
+        for cut in (1, RECORD_SIZE - 1, RECORD_SIZE, 3 * RECORD_SIZE + 4):
+            with pytest.raises(TraceFormatError,
+                               match="^truncated trace record$"):
+                loads_trace(blob[:-cut])
+
+    def test_count_beyond_the_file_is_truncation(self, tmp_path):
+        data = bytearray(_v2_blob())
+        data[6:10] = (0xFFFFFFFF).to_bytes(4, "little")  # record count
+        path = tmp_path / "short.lftr"
+        path.write_bytes(bytes(data))
+        with pytest.raises(TraceFormatError, match="truncated trace record"):
+            open_trace(str(path))
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_trailing_bytes(self, version):
+        blob = _v1_blob() if version == 1 else _v2_blob()
+        with pytest.raises(TraceFormatError,
+                           match="^3 trailing byte\\(s\\) after the trace$"):
+            loads_trace(blob + b"abc")
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_records_carry_decoded_instructions(self, version):
+        from repro.isa.encoding import decode
+
+        trace = loads_trace(_v1_blob() if version == 1 else _v2_blob())
+        records = (trace.records if version == 1
+                   else trace.control_flow_records)
+        assert records
+        for record in records:
+            assert record.instruction == decode(record.word, address=record.pc)
+            assert isinstance(record.taken, bool)

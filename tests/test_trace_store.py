@@ -1,16 +1,20 @@
 """Tests for execution signatures and the content-addressed trace store."""
 
 import os
+from collections import Counter
 
 import pytest
 
 from repro.cpu.core import CpuConfig
+from repro.cpu.tracefile import trace_digest
+from repro.service import tracestore
 from repro.service.tracestore import (
     CapturedExecution,
     TraceStore,
     TraceStoreError,
     cpu_config_digest,
     execution_signature,
+    parsed_trace,
     workload_build_signature,
 )
 from repro.service.worker import execute_capture_job
@@ -198,3 +202,133 @@ class TestAtomicIndex:
         droppings = [name for name in os.listdir(directory)
                      if name.endswith(".tmp")]
         assert droppings == []
+
+
+def _figure4_blobs(count):
+    """``count`` distinct serialised figure4_loop captures (1..count turns)."""
+    blobs = []
+    for turns in range(1, count + 1):
+        signature = execution_signature("figure4_loop", (turns,), None)
+        response = execute_capture_job(
+            (signature, "figure4_loop", (turns,), None))
+        blobs.append(response.trace_bytes)
+    return blobs
+
+
+def _same_size_blobs(count):
+    """``count`` distinct, equally long v2 blobs: one capture whose u64
+    instruction counter (bytes 11..19) is bumped per copy."""
+    base = bytearray(_figure4_blobs(1)[0])
+    blobs = []
+    for bump in range(count):
+        blob = bytearray(base)
+        blob[11:19] = (int.from_bytes(base[11:19], "little") + bump).to_bytes(
+            8, "little")
+        blobs.append(bytes(blob))
+    return blobs
+
+
+class TestParsedTraceMemo:
+    """The process-wide parsed-trace memo is an LRU bounded by blob bytes."""
+
+    @pytest.fixture
+    def memo(self):
+        memo = tracestore._PARSED_TRACES
+        memo.clear()
+        yield memo
+        memo.clear()
+
+    def test_overfilling_evicts_one_lru_entry_at_a_time(self, memo,
+                                                        monkeypatch):
+        blobs = _same_size_blobs(7)
+        digests = [trace_digest(blob) for blob in blobs]
+        monkeypatch.setattr(memo, "max_bytes", 4 * len(blobs[0]))
+        for blob in blobs[:4]:
+            parsed_trace(blob)
+        assert len(memo) == 4
+        parsed_trace(blobs[0])  # touch: blob 1 is now least recently used
+        for position, resident in ((4, {0, 2, 3, 4}), (5, {0, 3, 4, 5}),
+                                   (6, {0, 4, 5, 6})):
+            parsed_trace(blobs[position])
+            assert {index for index, digest in enumerate(digests)
+                    if digest in memo} == resident
+        assert memo.resident_bytes == 4 * len(blobs[0])
+
+    def test_never_emptied_by_an_oversized_entry(self, memo, monkeypatch):
+        blobs = _figure4_blobs(2)
+        monkeypatch.setattr(memo, "max_bytes", 1)
+        for blob in blobs:
+            trace = parsed_trace(blob)
+            assert len(memo) == 1 and trace_digest(blob) in memo
+            assert parsed_trace(blob) is trace
+
+    def test_clear_empties_it(self, memo):
+        parsed_trace(_figure4_blobs(1)[0])
+        memo.clear()
+        assert len(memo) == 0 and memo.resident_bytes == 0
+
+    def test_concurrent_use_keeps_the_byte_count(self, memo, monkeypatch):
+        """Threads hitting and evicting concurrently (the server replays on
+        executor threads) never lose an update to the byte count."""
+        import sys
+        import threading
+
+        blobs = _same_size_blobs(6)
+        size = len(blobs[0])
+        monkeypatch.setattr(memo, "max_bytes", 3 * size)
+        failures = []
+
+        def hammer(offset):
+            try:
+                for step in range(300):
+                    blob = blobs[(offset + step * 5) % len(blobs)]
+                    assert parsed_trace(blob) is not None
+            except Exception as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(offset,))
+                       for offset in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert memo.resident_bytes == len(memo) * size <= 3 * size
+
+    def test_capture_campaign_parses_each_unique_trace_once(self, memo,
+                                                            monkeypatch):
+        """More unique traces than the old 128-entry memo held: each one is
+        still parsed exactly once across prover replays and references."""
+        from repro.service.campaign import CampaignSpec, WorkloadSelection
+        from repro.service.database import MeasurementDatabase
+        from repro.service.runner import CampaignRunner
+        from repro.service.worker import clear_replay_cache
+
+        parses = Counter()
+        real_loads = tracestore.loads_trace
+
+        def counting_loads(data):
+            parses[trace_digest(data)] += 1
+            return real_loads(data)
+
+        monkeypatch.setattr(tracestore, "loads_trace", counting_loads)
+        clear_replay_cache()
+        spec = CampaignSpec(
+            name="memo",
+            workloads=[WorkloadSelection(
+                "figure4_loop", [[turns] for turns in range(1, 141)])],
+            schemes=["lofat", "cflat"],
+        )
+        result = CampaignRunner(
+            database=MeasurementDatabase(), trace_store=TraceStore(),
+        ).run(spec, workers=1, pipeline="capture")
+        clear_replay_cache()
+        assert all(job.ok for job in result.results)
+        assert len(parses) == 140
+        assert set(parses.values()) == {1}
