@@ -1,13 +1,13 @@
-"""E12 -- Fast-path execution pipeline speedup.
+"""E12 -- Production execution pipeline speedup over the step oracle.
 
-The fused fetch/decode/dispatch interpreter (``engine="fast"``,
-:meth:`repro.cpu.core.Cpu.run_fast`) plus batched hash absorption must make
-the simulate->measure hot path at least 2x faster in instructions/sec than
-the legacy per-instruction loop (``engine="legacy"``) on the E1 overhead
-workloads -- while staying byte-identical: same measurement
-``A``, same metadata ``L``, same verifier verdict, for every attestation
-scheme.  This experiment records both the per-workload and the per-scheme
-aggregate speedups.
+The compiled engine (``engine="compiled"``,
+:meth:`repro.cpu.core.Cpu.run_compiled`) plus batched hash absorption must
+make the simulate->measure hot path at least 2x faster in instructions/sec
+than the per-instruction :meth:`repro.cpu.core.Cpu.step` oracle
+(``engine="legacy"``) on the E1 overhead workloads -- while staying
+byte-identical: same measurement ``A``, same metadata ``L``, same verifier
+verdict, for every attestation scheme.  This experiment records both the
+per-workload and the per-scheme aggregate speedups.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ REPEATS = 3
 
 
 def _timed_measurement(scheme, program, inputs, engine):
-    config = CpuConfig(engine=engine, collect_trace=False)
+    config = CpuConfig(engine=engine)
     best = None
     result = measured = None
     for _ in range(REPEATS):
@@ -41,7 +41,7 @@ def _timed_measurement(scheme, program, inputs, engine):
 def _protocol_verdict(scheme_name, workload, engine):
     """One full challenge-response round on the given engine."""
     program = workload.build()
-    cpu_config = CpuConfig(engine=engine, collect_trace=False)
+    cpu_config = CpuConfig(engine=engine)
     prover = Prover({workload.name: program}, cpu_config=cpu_config)
     verifier = Verifier(cpu_config=cpu_config)
     verifier.register_program(workload.name, program)
@@ -53,13 +53,12 @@ def _protocol_verdict(scheme_name, workload, engine):
 
 
 def test_e12_fastpath_speedup(benchmark, report_writer):
-    # Timed kernel: one fast-path LO-FAT measurement of the syringe pump.
+    # Timed kernel: one compiled LO-FAT measurement of the syringe pump.
     pump = get_workload("syringe_pump")
     pump_program = pump.build()
     lofat = get_scheme("lofat")
     benchmark(lambda: lofat.measure_execution(
-        pump_program, list(pump.inputs),
-        cpu_config=CpuConfig(engine="fast", collect_trace=False)))
+        pump_program, list(pump.inputs), cpu_config=CpuConfig()))
 
     workloads = all_workloads()  # the E1 overhead workload suite
     rows = []
@@ -67,61 +66,62 @@ def test_e12_fastpath_speedup(benchmark, report_writer):
     for scheme_name in scheme_names():
         scheme = get_scheme(scheme_name)
         total_legacy = 0.0
-        total_fast = 0.0
+        total_compiled = 0.0
         total_instructions = 0
         for workload in workloads:
             program = workload.build()
             inputs = list(workload.inputs)
             legacy_result, legacy, legacy_s = _timed_measurement(
                 scheme, program, inputs, "legacy")
-            fast_result, fast, fast_s = _timed_measurement(
-                scheme, program, inputs, "fast")
+            compiled_result, compiled, compiled_s = _timed_measurement(
+                scheme, program, inputs, "compiled")
 
-            # Correctness oracle: the fast path changes no observable bit.
-            assert fast.measurement == legacy.measurement, \
+            # Correctness oracle: the engine changes no observable bit.
+            assert compiled.measurement == legacy.measurement, \
                 (scheme_name, workload.name)
-            assert fast.metadata.to_bytes() == legacy.metadata.to_bytes(), \
-                (scheme_name, workload.name)
-            assert fast_result.cycles == legacy_result.cycles
-            assert fast_result.instructions == legacy_result.instructions
+            assert compiled.metadata.to_bytes() == \
+                legacy.metadata.to_bytes(), (scheme_name, workload.name)
+            assert compiled_result.cycles == legacy_result.cycles
+            assert compiled_result.instructions == legacy_result.instructions
 
             total_legacy += legacy_s
-            total_fast += fast_s
-            total_instructions += fast_result.instructions
+            total_compiled += compiled_s
+            total_instructions += compiled_result.instructions
             rows.append({
                 "scheme": scheme_name,
                 "workload": workload.name,
-                "instructions": fast_result.instructions,
-                "legacy_i/s": round(fast_result.instructions / legacy_s),
-                "fast_i/s": round(fast_result.instructions / fast_s),
-                "speedup": round(legacy_s / fast_s, 2),
+                "instructions": compiled_result.instructions,
+                "legacy_i/s": round(compiled_result.instructions / legacy_s),
+                "compiled_i/s": round(
+                    compiled_result.instructions / compiled_s),
+                "speedup": round(legacy_s / compiled_s, 2),
             })
 
-        # Verifier verdicts are pipeline-independent: a fast-path report
+        # Verifier verdicts are engine-independent: a compiled report
         # verifies, and so does a legacy one, under the same scheme.
-        assert _protocol_verdict(scheme_name, pump, "fast").accepted
+        assert _protocol_verdict(scheme_name, pump, "compiled").accepted
         assert _protocol_verdict(scheme_name, pump, "legacy").accepted
 
-        aggregate_speedup = total_legacy / total_fast
+        aggregate_speedup = total_legacy / total_compiled
         aggregate_rows.append({
             "scheme": scheme_name,
             "workloads": len(workloads),
             "instructions": total_instructions,
             "legacy_i/s": round(total_instructions / total_legacy),
-            "fast_i/s": round(total_instructions / total_fast),
+            "compiled_i/s": round(total_instructions / total_compiled),
             "speedup": round(aggregate_speedup, 2),
         })
 
     table = format_table(
         rows,
         columns=["scheme", "workload", "instructions", "legacy_i/s",
-                 "fast_i/s", "speedup"],
-        title="E12: fast-path vs legacy interpreter, per workload",
+                 "compiled_i/s", "speedup"],
+        title="E12: compiled engine vs the Cpu.step oracle, per workload",
     )
     table += "\n\n" + format_table(
         aggregate_rows,
         columns=["scheme", "workloads", "instructions", "legacy_i/s",
-                 "fast_i/s", "speedup"],
+                 "compiled_i/s", "speedup"],
         title="E12: aggregate instructions/sec over the E1 workload suite",
     )
     report_writer(
@@ -138,6 +138,5 @@ def test_e12_fastpath_speedup(benchmark, report_writer):
 
 
 def test_e12_compiled_is_default(report_writer):
-    """A default CpuConfig runs the compiled engine; the fast engine timed
-    above is what it delegates to for runs it cannot take."""
+    """A default CpuConfig runs the compiled engine timed above."""
     assert CpuConfig().engine == "compiled"

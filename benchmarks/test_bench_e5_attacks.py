@@ -12,7 +12,7 @@ from repro.analysis.report import format_table
 from repro.attacks import all_attacks
 from repro.attestation import Prover, Verifier
 from repro.schemes import CFlatAttestation, StaticAttestation
-from repro.cpu.core import Cpu
+from repro.cpu.core import Cpu, CpuConfig
 from repro.workloads import get_workload
 
 
@@ -35,8 +35,11 @@ def _run_scenario(scenario):
     attacked_verdict = verifier.verify(attacked_report)
 
     cflat = CFlatAttestation()
-    benign_run = Cpu(program, inputs=list(scenario.challenge_inputs)).run()
-    attacked_cpu = Cpu(program, inputs=list(scenario.challenge_inputs))
+    traced = CpuConfig(collect_trace=True)
+    benign_run = Cpu(program, inputs=list(scenario.challenge_inputs),
+                     config=traced).run()
+    attacked_cpu = Cpu(program, inputs=list(scenario.challenge_inputs),
+                       config=traced)
     scenario.install_on(attacked_cpu, program)
     attacked_run = attacked_cpu.run()
     cflat_detects = (cflat.measure_trace(benign_run.trace)

@@ -17,7 +17,7 @@ from repro.analysis import format_table
 from repro.attacks import all_attacks
 from repro.attestation import Prover, Verifier
 from repro.schemes import CFlatAttestation, StaticAttestation
-from repro.cpu.core import Cpu
+from repro.cpu.core import Cpu, CpuConfig
 from repro.workloads import get_workload
 
 
@@ -45,9 +45,12 @@ def main() -> int:
         # C-FLAT computes the same path measurement, so it detects the same
         # deviations (at its much higher run-time cost).
         cflat = CFlatAttestation()
-        benign_cpu = Cpu(program, inputs=list(scenario.challenge_inputs))
+        traced = CpuConfig(collect_trace=True)
+        benign_cpu = Cpu(program, inputs=list(scenario.challenge_inputs),
+                         config=traced)
         benign_run = benign_cpu.run()
-        attacked_cpu = Cpu(program, inputs=list(scenario.challenge_inputs))
+        attacked_cpu = Cpu(program, inputs=list(scenario.challenge_inputs),
+                           config=traced)
         scenario.install_on(attacked_cpu, program)
         attacked_run = attacked_cpu.run()
         cflat_detects = (cflat.measure_trace(benign_run.trace)

@@ -133,7 +133,8 @@ def _resolve_iterations(iterations: Optional[int]) -> int:
 def _trace_seed_blobs() -> List[bytes]:
     """Serialised traces the mutator starts from (v1, v2, edge shapes)."""
     program = assemble(_SEED_PROGRAM_SOURCE)
-    result = Cpu(program, config=CpuConfig(max_instructions=10_000)).run()
+    result = Cpu(program, config=CpuConfig(collect_trace=True,
+                                         max_instructions=10_000)).run()
     full = result.trace
     cf = ControlFlowTrace.from_trace(full)
     non_replayable = ControlFlowTrace(

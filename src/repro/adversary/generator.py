@@ -197,7 +197,7 @@ class _WorkloadContext:
         cpu = Cpu(
             self.program,
             inputs=list(self.inputs),
-            config=CpuConfig(max_instructions=VET_FUEL),
+            config=CpuConfig(collect_trace=True, max_instructions=VET_FUEL),
         )
         result = cpu.run()
         self.benign_output = result.output

@@ -95,8 +95,10 @@ def compare_workload(
     """Measure one workload under no attestation, LO-FAT and C-FLAT."""
     program = workload.build()
 
-    # 1. Baseline: no attestation attached.
-    baseline_cpu = Cpu(program, inputs=list(workload.inputs), config=cpu_config)
+    # 1. Baseline: no attestation attached.  C-FLAT's loop-event discount
+    #    needs the per-record trace, which the default configuration keeps.
+    baseline_cpu = Cpu(program, inputs=list(workload.inputs),
+                       config=cpu_config or CpuConfig(collect_trace=True))
     baseline = baseline_cpu.run()
 
     # 2. LO-FAT: same execution with the hardware monitor attached.

@@ -60,7 +60,7 @@ def buffer_depth_sweep(
     """Hash-input buffer occupancy and drops per workload and depth (E6)."""
     if cpu_config is None:
         # Cycle-model experiment: observe per record so pair arrival times
-        # match the hardware's per-cycle snoop (the batched fast path is
+        # match the hardware's per-cycle snoop (the batched compiled engine is
         # digest-identical but coarsens the transient occupancy numbers).
         cpu_config = CpuConfig(engine="legacy")
     rows: List[Dict[str, object]] = []

@@ -59,13 +59,10 @@ class MemoryCorruption:
     _seen: int = 0
 
     def install(self, cpu: Cpu) -> None:
-        """Attach the corruption to ``cpu`` as a pre-instruction hook."""
-        cpu.add_pre_instruction_hook(self._hook)
+        """Attach the corruption to ``cpu`` as a hook at ``trigger_pc``."""
+        cpu.add_pc_hook(self.trigger_pc, self._hook)
 
-    # The hook signature matches Cpu.add_pre_instruction_hook.
-    def _hook(self, cpu: Cpu, pc: int, retired: int) -> None:
-        if pc != self.trigger_pc:
-            return
+    def _hook(self, cpu: Cpu) -> None:
         self._seen += 1
         if self._seen < self.occurrence:
             return
@@ -106,13 +103,10 @@ class ControlFlowRedirect:
     _seen: int = 0
 
     def install(self, cpu: Cpu) -> None:
-        """Attach the redirect to ``cpu`` as a pre-instruction hook."""
-        cpu.add_pre_instruction_hook(self._hook)
+        """Attach the redirect to ``cpu`` as a hook at ``trigger_pc``."""
+        cpu.add_pc_hook(self.trigger_pc, self._hook)
 
-    # The hook signature matches Cpu.add_pre_instruction_hook.
-    def _hook(self, cpu: Cpu, pc: int, retired: int) -> None:
-        if pc != self.trigger_pc:
-            return
+    def _hook(self, cpu: Cpu) -> None:
         self._seen += 1
         if self._seen < self.occurrence:
             return

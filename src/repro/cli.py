@@ -16,12 +16,6 @@ the CLI exposes the most common interactions without writing any Python:
   show that the verifier rejects the attacked execution.
 * ``repro overhead`` -- print the E1 LO-FAT vs C-FLAT overhead table.
 * ``repro area`` -- print the E3 FPGA resource estimate and sweep.
-* ``repro fastpath [--workload NAME]`` -- verify that the compiled engine
-  is the default and that the fast and compiled engines both produce
-  byte-identical measurements to the legacy per-instruction loop, and print
-  the per-scheme instructions/sec speedups (the CI smoke check for
-  E12/E17).  Execution-bearing commands take ``--engine
-  {legacy,fast,compiled}`` (default: compiled).
 * ``repro campaign`` -- run an attestation campaign (schemes x workloads x
   configs x attacks) through the parallel campaign service, e.g.
   ``repro campaign --experiment all --workers 4`` or
@@ -65,7 +59,6 @@ import argparse
 import asyncio
 import os
 import sys
-import time
 from typing import List, Optional
 
 from repro.analysis.campaign_report import (
@@ -122,16 +115,10 @@ def _resolve_inputs(args: argparse.Namespace, workload) -> List[int]:
     return list(workload.inputs) if args.inputs is None else list(args.inputs)
 
 
-def _cpu_config(args: argparse.Namespace) -> CpuConfig:
-    """The core-model configuration implied by the CLI flags."""
-    engine = getattr(args, "engine", None)
-    return CpuConfig() if engine is None else CpuConfig(engine=engine)
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     workload = get_workload(args.workload)
     inputs = _resolve_inputs(args, workload)
-    result = run_program(workload.build(), inputs=inputs, config=_cpu_config(args))
+    result = run_program(workload.build(), inputs=inputs)
     print("output      : %s" % result.output)
     print("exit code   : %d" % result.exit_code)
     print("instructions: %d" % result.instructions)
@@ -144,8 +131,7 @@ def _cmd_attest(args: argparse.Namespace) -> int:
     workload = get_workload(args.workload)
     inputs = _resolve_inputs(args, workload)
     scheme = get_scheme(args.scheme)
-    result, measurement = scheme.measure_execution(
-        workload.build(), inputs, cpu_config=_cpu_config(args))
+    result, measurement = scheme.measure_execution(workload.build(), inputs)
 
     overhead = int(measurement.stats.get("overhead_cycles", 0))
     cost = ("zero attestation overhead" if overhead == 0
@@ -255,49 +241,6 @@ def _cmd_area(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_fastpath(args: argparse.Namespace) -> int:
-    """Smoke-check the fast and compiled pipelines against the legacy loop."""
-    workload = get_workload(args.workload)
-    program = workload.build()
-    inputs = list(workload.inputs)
-
-    default_engine = CpuConfig().engine
-    print("default engine: %s" % default_engine)
-    all_identical = True
-
-    for scheme in all_schemes():
-        measurements = {}
-        rates = {}
-        for label in ("legacy", "fast", "compiled"):
-            config = CpuConfig(engine=label, collect_trace=False)
-            best = None
-            for _ in range(max(1, args.repeats)):
-                started = time.perf_counter()
-                result, measured = scheme.measure_execution(
-                    program, inputs, cpu_config=config)
-                elapsed = time.perf_counter() - started
-                best = elapsed if best is None else min(best, elapsed)
-            measurements[label] = (measured.measurement,
-                                   measured.metadata.to_bytes())
-            rates[label] = result.instructions / best if best else 0.0
-        identical = (measurements["legacy"] == measurements["fast"]
-                     == measurements["compiled"])
-        all_identical = all_identical and identical
-        legacy_rate = rates["legacy"]
-        print("  %-8s measurements %s  legacy %8.0f i/s  "
-              "fast %8.0f i/s (%.2fx)  compiled %8.0f i/s (%.2fx)"
-              % (scheme.name, "identical" if identical else "DIFFER",
-                 legacy_rate,
-                 rates["fast"],
-                 rates["fast"] / legacy_rate if legacy_rate else 0.0,
-                 rates["compiled"],
-                 rates["compiled"] / legacy_rate if legacy_rate else 0.0))
-
-    ok = default_engine == "compiled" and all_identical
-    print("fastpath check: %s" % ("OK" if ok else "FAILED"))
-    return 0 if ok else 1
-
-
 def _load_campaign_spec(args: argparse.Namespace) -> CampaignSpec:
     if args.spec is not None:
         with open(args.spec) as handle:
@@ -317,8 +260,6 @@ def _load_campaign_spec(args: argparse.Namespace) -> CampaignSpec:
     if args.scheme is not None:
         spec.schemes = [name.strip() for name in args.scheme.split(",")
                         if name.strip()]
-    if args.engine is not None:
-        spec.engine = args.engine
     spec.validate()
     return spec
 
@@ -330,7 +271,6 @@ def _make_runner(args: argparse.Namespace, database=None) -> CampaignRunner:
         trace_store = TraceStore(directory=trace_dir)
     return CampaignRunner(
         database=database,
-        cpu_config=_cpu_config(args),
         trace_store=trace_store,
     )
 
@@ -524,8 +464,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         print("metadata     : verified against repro.cfg analysis")
 
     if args.run:
-        result = run_program(compiled.program, inputs=list(args.inputs or []),
-                             config=_cpu_config(args))
+        result = run_program(compiled.program, inputs=list(args.inputs or []))
         print("output       : %r" % result.output)
         print("exit code    : %d" % result.exit_code)
         print("cycles       : %d" % result.cycles)
@@ -579,7 +518,8 @@ def _analyze_selfcheck(analysis, inputs) -> List[str]:
     and the workloads on every push.
     """
     violations: List[str] = []
-    result = run_program(analysis.program, inputs=list(inputs))
+    result = run_program(analysis.program, inputs=list(inputs),
+                         config=CpuConfig(collect_trace=True))
     valid_pairs = analysis.valid_pairs
     for pair in result.trace.executed_edges:
         if pair not in valid_pairs:
@@ -742,8 +682,7 @@ def _cmd_workloads(args: argparse.Namespace) -> int:
     for workload in workloads:
         line = "  %-24s inputs=%-24s" % (workload.name, workload.inputs)
         if args.check:
-            result = run_program(workload.build(), inputs=workload.inputs,
-                                 config=_cpu_config(args))
+            result = run_program(workload.build(), inputs=workload.inputs)
             ok = result.output == workload.expected_output
             failures += 0 if ok else 1
             line += " %s" % ("ok" if ok else
@@ -772,7 +711,6 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
         state_dir=args.state_dir,
         database_path=args.database,
         trace_dir=args.trace_dir,
-        cpu_config=_cpu_config(args),
         allow_shutdown=args.allow_shutdown,
         session_limit=args.session_limit,
         ready_file=args.ready_file,
@@ -839,7 +777,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         database=database,
         trace_store=trace_store,
-        cpu_config=_cpu_config(args),
         allow_shutdown=args.allow_shutdown,
         session_limit=args.session_limit,
         ready_file=args.ready_file,
@@ -918,7 +855,7 @@ def _cmd_fleet_load(args: argparse.Namespace) -> int:
     try:
         report = run_fleet_load(
             args.host, args.port, spec=spec,
-            trace_dir=args.trace_dir, cpu_config=_cpu_config(args),
+            trace_dir=args.trace_dir,
         )
         if args.shutdown:
             async def _shutdown() -> None:
@@ -968,14 +905,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    def add_engine_options(target, what="CPU executions"):
-        target.add_argument(
-            "--engine", default=None, choices=["legacy", "fast", "compiled"],
-            help="execution engine for %s: the superblock trace compiler "
-                 "(compiled, the default), the fused interpreter (fast) or "
-                 "the per-instruction loop (legacy)" % what,
-        )
-
     subparsers.add_parser("list", help="list workloads and attack scenarios")
     subparsers.add_parser("schemes", help="list the registered attestation schemes")
 
@@ -988,8 +917,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("workload", help="workload name (see 'list')")
         sub.add_argument("--inputs", type=int, nargs="*", default=None,
                          help="override the workload's default input values")
-        if name in ("run", "attest"):
-            add_engine_options(sub, what="the workload execution")
         if name in ("attest", "protocol"):
             sub.add_argument("--scheme", default="lofat", choices=scheme_names(),
                              help="attestation scheme (default: lofat)")
@@ -1002,20 +929,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     subparsers.add_parser("overhead", help="print the LO-FAT vs C-FLAT overhead table")
     subparsers.add_parser("area", help="print the FPGA resource estimates")
-
-    fastpath = subparsers.add_parser(
-        "fastpath",
-        help="check the compiled default and engine digest equality, and "
-             "print the speedups",
-    )
-    fastpath.add_argument(
-        "--workload", default="syringe_pump",
-        help="workload to execute under every scheme (default: syringe_pump)",
-    )
-    fastpath.add_argument(
-        "--repeats", type=int, default=3, metavar="N",
-        help="timing repetitions per configuration (best-of-N, default 3)",
-    )
 
     def add_campaign_options(target, full=True):
         source = target.add_mutually_exclusive_group()
@@ -1053,7 +966,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="override the spec's attestation schemes (comma-separated, "
                  "e.g. lofat,cflat,static)",
         )
-        add_engine_options(target, what="prover and verifier executions")
         if full:
             target.add_argument(
                 "--database", default=None, metavar="FILE",
@@ -1160,7 +1072,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="execute the compiled program")
     compile_cmd.add_argument("--inputs", type=int, nargs="*", default=None,
                              help="input values for --run")
-    add_engine_options(compile_cmd, what="--run executions")
 
     analyze = subparsers.add_parser(
         "analyze",
@@ -1209,7 +1120,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="execute every generated workload and compare its output "
              "against the family's Python reference model",
     )
-    add_engine_options(workloads_cmd, what="--check executions")
 
     serve = subparsers.add_parser(
         "serve",
@@ -1247,7 +1157,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="atomically write 'host:port' here once the "
                             "server (or every fleet worker) is accepting -- "
                             "a deterministic readiness signal for scripts")
-    add_engine_options(serve, what="reference computations")
 
     fleet_load = subparsers.add_parser(
         "fleet-load",
@@ -1313,7 +1222,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_load.add_argument("--shutdown", action="store_true",
                             help="send a SHUTDOWN frame after the run "
                                  "(server must allow it)")
-    add_engine_options(fleet_load, what="live prover executions")
     return parser
 
 
@@ -1326,7 +1234,6 @@ _COMMANDS = {
     "attack": _cmd_attack,
     "overhead": _cmd_overhead,
     "area": _cmd_area,
-    "fastpath": _cmd_fastpath,
     "campaign": _cmd_campaign,
     "adversary": _cmd_adversary,
     "compile": _cmd_compile,

@@ -1,15 +1,16 @@
 """Superblock-to-Python compilation: the backend of ``Cpu.run_compiled``.
 
-The fused interpreter (:meth:`repro.cpu.core.Cpu.run_fast`) still pays one
-round of Python dispatch per retired instruction.  This module removes that
-cost for straight-line code: every basic block of a program -- extended into
-superblock chains across fall-throughs and forward ``jal x0`` jumps
-(:mod:`repro.cfg.superblocks`) -- is translated once into a single generated
-Python function, ``compile()``d and cached per program digest.  Executing a
-block is then one function call operating directly on the register list,
-with immediates, masks and cycle costs baked in as constants; the
-inter-block trampoline (:meth:`repro.cpu.core.Cpu.run_compiled`) only runs
-once per *block*, not once per instruction.
+An interpreter pays one round of Python dispatch per retired instruction
+(:meth:`repro.cpu.core.Cpu.step`, kept as the oracle).  This module
+removes that cost for straight-line code: every basic block of a program --
+extended into superblock chains across fall-throughs and forward ``jal x0``
+jumps (:mod:`repro.cfg.superblocks`) -- is translated once into a single
+generated Python function, ``compile()``d and cached per program digest.
+Executing a block is then one function call operating directly on the
+register list, with immediates, masks and cycle costs baked in as
+constants; the inter-block trampoline
+(:meth:`repro.cpu.core.Cpu.run_compiled`) only runs once per *block*, not
+once per instruction.
 
 The compiled-function contract (generated signature
 ``fn(cpu, x, rf, load, store, buf, mv2, mv4)`` with ``x`` the raw register
@@ -34,22 +35,28 @@ carries their (Src, Dest) pairs as one precomputed, pre-masked byte chunk
 monitors implementing ``observe_block``, which absorb it with a single
 sponge update instead of rebuilding the bytes per edge.  Trace records are
 still materialized per edge with exact indices/cycles, so captured traces,
-TraceStore signatures and replayed reports stay byte-identical to the other
-engines.
+TraceStore signatures and replayed reports stay byte-identical to the
+``Cpu.step`` oracle.
 
 Every program compiles.  Indirect jumps and returns end their block; the
 trampoline looks up each runtime target in the plan, or compiles the
 straight line from a stray entry point on first use
 (:meth:`CompiledProgram.compile_block_at`).  A target that is not an
-instruction address delegates the rest of the run to ``run_fast``, which
-raises the same fetch fault as the legacy loop.
+instruction address hands the rest of the run to ``Cpu.step``, which
+raises the same fetch fault.
+
+A run with pc hooks (:meth:`repro.cpu.core.Cpu.add_pc_hook`) executes a
+per-run view of the shared plan (:meth:`CompiledProgram.hooked_blocks`):
+only the blocks that hold a hook pc past their head are recompiled, split
+just before it, so every hook pc heads a block and the trampoline can fire
+its hooks between blocks.
 """
 
 from __future__ import annotations
 
 import sys
 import threading
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Collection, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.cfg.basic_blocks import split_basic_blocks
 from repro.cfg.superblocks import form_superblocks
@@ -85,19 +92,23 @@ InternalTemplate = Tuple[int, int, int, int, Instruction, int, BranchKind]
 #: The terminator's static record fields: (pc, word, instruction, kind).
 TerminatorTemplate = Tuple[int, int, Instruction, BranchKind]
 
+#: A superblock chain: its member basic blocks' instruction runs, in order.
+Chain = Tuple[Tuple[Instruction, ...], ...]
+
 
 class CompiledBlock:
     """One superblock compiled to a step function plus its CF templates."""
 
     __slots__ = (
-        "head", "fn", "size", "templates", "n_internal", "term_cf",
-        "term_template", "cf_total", "static_chunk", "static_pairs",
-        "kind_items", "packed",
+        "head", "members", "inner_pcs", "fn", "size", "templates", "n_internal",
+        "term_cf", "term_template", "cf_total", "static_chunk",
+        "static_pairs", "kind_items", "packed",
     )
 
     def __init__(
         self,
         head: int,
+        members: Chain,
         fn: Callable,
         size: int,
         templates: Tuple[InternalTemplate, ...],
@@ -105,6 +116,13 @@ class CompiledBlock:
         term_template: Optional[TerminatorTemplate],
     ) -> None:
         self.head = head
+        #: The chain's member instruction runs, kept to split the block
+        #: at a hook pc.
+        self.members = members
+        #: Every instruction address the block holds past its head.
+        self.inner_pcs = frozenset(
+            instr.address for member in members for instr in member
+        ) - {head}
         self.fn = fn
         #: Maximum instructions one execution of this block can retire
         #: (the trampoline's conservative fuel check).
@@ -160,6 +178,10 @@ class CompiledProgram:
         #: leader, lazily for stray entry points (indirect targets that are
         #: not leaders).
         self.blocks: Dict[int, CompiledBlock] = {}
+        #: (block head, hook pcs inside it) -> the block's split pieces, in
+        #: chain order; shared by every hooked run that cuts a block alike.
+        self._split_pieces: Dict[
+            Tuple[int, FrozenSet[int]], Tuple[CompiledBlock, ...]] = {}
         self._instruction_by_address: Dict[int, Instruction] = {
             instr.address: instr for instr in program.instructions
         }
@@ -172,8 +194,7 @@ class CompiledProgram:
         first control-flow instruction and compile that suffix as a
         one-member chain.  Returns None when ``pc`` is not an instruction
         address or the scan runs off the program -- the trampoline then
-        delegates to ``run_fast``, which raises the exact same fetch fault
-        the legacy loop would.
+        hands the run to ``Cpu.step``, which raises the fetch fault.
         """
         by_address = self._instruction_by_address
         if pc not in by_address:
@@ -188,11 +209,68 @@ class CompiledProgram:
             if instruction.is_control_flow:
                 break
             address += 4
-        entry = _compile_chain(self.program, pc, [member], self.costs)
+        entry = _compile_chain(self.program, pc, (tuple(member),), self.costs)
         # Idempotent insert (dict assignment is atomic under the GIL); two
         # threads compiling the same stray pc produce equivalent entries.
         self.blocks[pc] = entry
         return entry
+
+    def hooked_blocks(
+        self, hook_pcs: Collection[int]
+    ) -> Dict[int, CompiledBlock]:
+        """A per-run view of :attr:`blocks` in which every pc of
+        ``hook_pcs`` heads a block and sits inside no other one.
+
+        The view shares every block that holds no hook pc past its head;
+        only the others are split (:meth:`split_block`).  Blocks the run
+        compiles later at stray targets are split as they appear.
+        """
+        view = dict(self.blocks)
+        for block in list(view.values()):
+            self.split_block(block, hook_pcs, view)
+        return view
+
+    def split_block(
+        self,
+        block: CompiledBlock,
+        hook_pcs: Collection[int],
+        view: Dict[int, CompiledBlock],
+    ) -> CompiledBlock:
+        """Cut ``block`` just before each hook pc it holds past its head.
+
+        The pieces go into ``view``: the first replaces ``block`` at its
+        head, each later one heads at its hook pc unless ``view`` already
+        has a block there.  Returns the block ``view`` now holds at
+        ``block.head``.  The pieces of one cut are compiled once per plan.
+        """
+        cuts = block.inner_pcs.intersection(hook_pcs)
+        if not cuts:
+            view[block.head] = block
+            return block
+        key = (block.head, cuts)
+        pieces = self._split_pieces.get(key)
+        if pieces is None:
+            chains: List[List[Tuple[Instruction, ...]]] = [[]]
+            for member in block.members:
+                run: List[Instruction] = []
+                for instr in member:
+                    if instr.address in cuts:
+                        if run:
+                            chains[-1].append(tuple(run))
+                            run = []
+                        chains.append([])
+                    run.append(instr)
+                chains[-1].append(tuple(run))
+            pieces = tuple(
+                _compile_chain(self.program, chain[0][0].address,
+                               tuple(chain), self.costs)
+                for chain in chains)
+            # Idempotent insert, like compile_block_at.
+            self._split_pieces[key] = pieces
+        view[block.head] = pieces[0]
+        for piece in pieces[1:]:
+            view.setdefault(piece.head, piece)
+        return pieces[0]
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +280,8 @@ class CompiledProgram:
 # on the register list ``x``.  Every emitted expression must preserve the
 # RegisterFile invariant -- stored values are unsigned 32-bit ints -- and the
 # exact semantics of the interpreter executors in repro.cpu.core; the
-# three-way differential in tests/test_fastpath_equivalence.py pins this.
+# differential against the Cpu.step oracle in
+# tests/test_fastpath_equivalence.py pins this.
 
 
 def _reg(number: int) -> str:
@@ -437,7 +516,7 @@ def _word_at(program: Program, address: int) -> int:
 def _compile_chain(
     program: Program,
     head: int,
-    members: Sequence[Sequence[Instruction]],
+    members: Chain,
     costs: CostKey,
 ) -> CompiledBlock:
     """Generate, compile and wrap the step function for one chain."""
@@ -552,6 +631,7 @@ def _compile_chain(
     exec(compile(source, filename, "exec"), namespace)  # noqa: S102
     return CompiledBlock(
         head=head,
+        members=members,
         fn=namespace[name],  # type: ignore[arg-type]
         size=ridx,
         templates=tuple(templates),
@@ -572,7 +652,7 @@ def _build_plan(program: Program, costs: CostKey) -> CompiledProgram:
         plan.blocks[superblock.head] = _compile_chain(
             program,
             superblock.head,
-            [block.instructions for block in superblock.blocks],
+            tuple(tuple(block.instructions) for block in superblock.blocks),
             costs,
         )
     return plan

@@ -42,12 +42,13 @@ from repro.isa.registers import RegisterFile, to_unsigned
 #: Type of the per-retired-instruction monitor callbacks (e.g. LO-FAT).
 Monitor = Callable[[TraceRecord], None]
 
-#: Type of the pre-execution hooks used by the attack injectors.
-PreInstructionHook = Callable[["Cpu", int, int], None]
+#: Type of the pc-keyed hooks used by the attack injectors: called with the
+#: CPU just before the instruction at the hook's pc executes.
+PcHook = Callable[["Cpu"], None]
 
 #: Number of control-flow records buffered before a batch is flushed to the
-#: attached monitors (fast and compiled engines).  Batching only changes
-#: delivery granularity, never a measurement.
+#: attached monitors (compiled engine).  Batching only changes delivery
+#: granularity, never a measurement.
 MONITOR_BATCH_SIZE = 256
 
 
@@ -74,14 +75,16 @@ class CpuConfig:
     #: attestation hot paths (verifier replay, campaign workers) disable this
     #: and stream records straight to the monitors, keeping only summary
     #: counters in memory.
-    collect_trace: bool = True
+    #: A collected trace needs every retired instruction as a record, so
+    #: such runs execute on the :meth:`Cpu.step` loop.
+    collect_trace: bool = False
     #: Execution engine: ``"compiled"`` (superblock trace compilation,
-    #: :meth:`Cpu.run_compiled`), ``"fast"`` (fused interpreter,
-    #: :meth:`Cpu.run_fast`) or ``"legacy"`` (per-instruction
+    #: :meth:`Cpu.run_compiled`) or ``"legacy"`` (the per-instruction
     #: :meth:`Cpu.step` loop, kept as the test oracle and for cycle-model
-    #: fidelity).  All three are architecturally identical.  A compiled run
-    #: delegates to ``run_fast`` when the run shape needs per-instruction
-    #: delivery (collected traces, pre-hooks) -- see docs/EXECUTION.md.
+    #: fidelity).  Both are architecturally identical.  A compiled run that
+    #: needs per-instruction delivery (collected traces, plain-callable
+    #: monitors) runs on ``Cpu.step``, and one that cannot finish compiled
+    #: hands the rest of the run to it -- see docs/EXECUTION.md.
     engine: str = "compiled"
     #: Clock frequency of the core in MHz (Pulpino/LO-FAT run at 80 MHz on
     #: the Zedboard prototype); used only to convert cycles to wall time in
@@ -89,10 +92,10 @@ class CpuConfig:
     clock_mhz: float = 80.0
 
     def __post_init__(self) -> None:
-        if self.engine not in ("legacy", "fast", "compiled"):
+        if self.engine not in ("legacy", "compiled"):
             raise ValueError(
-                "unknown execution engine %r (expected legacy, fast or"
-                " compiled)" % (self.engine,)
+                "unknown execution engine %r (expected legacy or compiled)"
+                % (self.engine,)
             )
 
 
@@ -135,22 +138,13 @@ class Cpu:
             if self.config.decoded_instruction_cache
             else None
         )
-        # The fast-path dispatch table (pc -> (executor, instruction, word,
-        # kind, is_control_flow)) is shared across runs of the same program
-        # image exactly like the decode cache; without the shared cache each
-        # Cpu keeps a private table.
-        self._fast_table: Dict[int, tuple] = (
-            DECODE_CACHE.fast_table_for(program)
-            if self.config.decoded_instruction_cache
-            else {}
-        )
         self.pc = program.entry
         self.cycle = 0
         self.retired = 0
         self.halted = False
-        #: The engine that actually ran (set by :meth:`run`): "legacy",
-        #: "fast" or "compiled".  A compiled run that delegates its tail to
-        #: ``run_fast`` still reports "compiled".
+        #: The engine that actually ran (set by :meth:`run`): "legacy" or
+        #: "compiled".  A compiled run that hands its tail to ``Cpu.step``
+        #: still reports "compiled".
         self.engine_used: Optional[str] = None
         self._monitors: List[Monitor] = []
         #: Batched observers resolved from the attached monitors (None for a
@@ -161,12 +155,13 @@ class Cpu:
         #: hash chunk in one sponge update.
         self._block_monitors: List[Optional[Callable]] = []
         #: End-of-run hooks (``finish_run(instructions, cycle)``) used by the
-        #: fast path to sync final counters to batch monitors.
+        #: compiled engine to sync final counters to batch monitors.
         self._finish_monitors: List[Callable] = []
         #: Straight-line sync hooks (``sync_straight_line(next_pc, cycle)``)
-        #: used when a pre-hook redirect ends batched observation mid-run.
+        #: used when a hand-off to ``Cpu.step`` ends batched observation.
         self._linear_sync_monitors: List[Callable] = []
-        self._pre_hooks: List[PreInstructionHook] = []
+        #: pc -> hooks fired just before the instruction at pc executes.
+        self._pc_hooks: Dict[int, List[PcHook]] = {}
         self._setup_memory()
         self._setup_registers()
 
@@ -197,9 +192,9 @@ class Cpu:
 
         Monitors whose owner exposes ``observe_batch`` (every first-class
         :class:`repro.schemes.base.MeasurementSession` and the LO-FAT engine)
-        can consume batches of control-flow records on the fast path; plain
-        callables force the legacy per-record loop so they keep seeing every
-        retired instruction.
+        can consume batches of control-flow records on the compiled engine;
+        plain callables force the per-record :meth:`step` loop so they keep
+        seeing every retired instruction.
         """
         self._monitors.append(monitor)
         # A monitor is usually a bound ``observe`` method: resolve the batch
@@ -215,208 +210,84 @@ class Cpu:
         if sync is not None:
             self._linear_sync_monitors.append(sync)
 
-    def add_pre_instruction_hook(self, hook: PreInstructionHook) -> None:
-        """Attach a hook invoked before each instruction executes.
+    def add_pc_hook(self, pc: int, hook: PcHook) -> None:
+        """Call ``hook(cpu)`` each time the instruction at ``pc`` is about to
+        execute.
 
-        Hooks receive ``(cpu, pc, retired_count)`` and may modify data memory;
-        the attack injectors use this to model memory-corruption exploits
-        triggered at a particular execution point.
+        Hooks may modify data memory or registers, or move ``cpu.pc`` to
+        redirect control flow; the attack injectors use this to model
+        exploits triggered at a particular execution point.  The hooks of
+        one pc run in the order they were added, and the first one that
+        moves ``cpu.pc`` ends the round: the instruction at the new pc then
+        executes without firing its own hooks.
         """
-        self._pre_hooks.append(hook)
+        self._pc_hooks.setdefault(pc, []).append(hook)
+
+    def _fire_pc_hooks(self, hooks: List[PcHook]) -> bool:
+        """Run one pc's hooks; True if one of them moved ``self.pc``."""
+        pc = self.pc
+        for hook in hooks:
+            hook(self)
+            if self.pc != pc:
+                return True
+        return False
 
     # ----------------------------------------------------------- execution
     def run(self) -> ExecutionResult:
         """Run the program to completion and return the execution result.
 
         Dispatches by :attr:`CpuConfig.engine`: the compiled engine
-        (:meth:`run_compiled`) unless the run needs per-instruction
-        delivery (a collected trace or pre-hooks), else the fused fast path
-        (:meth:`run_fast`) when every attached monitor supports batched
-        observation, else the legacy per-instruction :meth:`step` loop.
-        All paths are architecturally identical.
+        (:meth:`run_compiled`) when every attached monitor supports batched
+        observation and no full trace is collected, else the per-instruction
+        :meth:`step` loop.  Both are architecturally identical.
         """
-        engine = self.config.engine
-        if engine != "legacy" and all(self._batch_monitors):
-            if (
-                engine == "compiled"
-                and not self._pre_hooks
-                and not self.config.collect_trace
-            ):
-                # Lazy import: repro.cpu.compile imports this module.
-                from repro.cpu.compile import COMPILE_CACHE
+        if (
+            self.config.engine == "compiled"
+            and not self.config.collect_trace
+            and all(self._batch_monitors)
+        ):
+            # Lazy import: repro.cpu.compile imports this module.
+            from repro.cpu.compile import COMPILE_CACHE
 
-                self.engine_used = "compiled"
-                return self.run_compiled(
-                    COMPILE_CACHE.plan_for(self.program, self.config))
-            self.engine_used = "fast"
-            return self.run_fast()
+            self.engine_used = "compiled"
+            return self.run_compiled(
+                COMPILE_CACHE.plan_for(self.program, self.config))
         self.engine_used = "legacy"
         while not self.halted:
             self.step()
         return self._result()
 
-    def run_fast(self) -> ExecutionResult:
-        """Fused fetch/decode/dispatch inner loop.
-
-        The hot-path variant of :meth:`run`: attribute lookups are hoisted
-        out of the loop, fetch+decode+classify happen once per program
-        counter through the shared per-program dispatch table, and
-        :class:`TraceRecord` objects are only materialized for control-flow
-        instructions (when monitors are attached) or when the configuration
-        asks for a full trace.  Control-flow records are delivered to the
-        monitors in batches via their ``observe_batch`` hook; because
-        monitors observe retired instructions and can never influence
-        architectural state, the deferred delivery is unobservable outside
-        cycle-model statistics.
-        """
-        config = self.config
-        table = self._fast_table
-        table_get = table.get
-        build_entry = self._build_fast_entry
-        pre_hooks = self._pre_hooks
-        batch_monitors = self._batch_monitors
-        collect = config.collect_trace
-        streaming = not collect
-        append_record = self.trace.append if collect else None
-        fuel = config.max_instructions
-        taken_penalty = config.taken_branch_penalty
-        flush_at = MONITOR_BATCH_SIZE
-        make_record = TraceRecord
-
-        pc = self.pc
-        cycle = self.cycle
-        retired = self.retired
-        start_retired = retired
-        cf_events = 0
-        taken_cf_events = 0
-        by_kind: Dict[str, int] = {}
-        batch: List[TraceRecord] = []
-        #: Set when a pre-hook redirects control flow: such a transfer has no
-        #: trace record, so batched observers could not reconstruct the
-        #: straight-line runs around it -- the rest of the execution then
-        #: finishes on the legacy per-record loop (identical semantics).
-        hook_redirected = False
-        redirect_from = 0
-        try:
-            while not self.halted:
-                if retired >= fuel:
-                    raise OutOfFuelError(fuel)
-                if pre_hooks:
-                    self.pc = pc
-                    self.cycle = cycle
-                    self.retired = retired
-                    for hook in pre_hooks:
-                        # self.pc, not the local: a hook that redirects
-                        # control flow is visible to the hooks after it,
-                        # exactly as on the legacy loop.
-                        hook(self, self.pc, retired)
-                    if self.pc != pc:
-                        redirect_from = pc
-                        pc = self.pc
-                        hook_redirected = True
-                        break
-
-                entry = table_get(pc)
-                if entry is None:
-                    entry = build_entry(pc)
-                executor, instruction, word, kind, is_control_flow = entry
-
-                next_pc, taken, extra_cycles = executor(self, instruction, pc)
-                cycle += 1 + extra_cycles
-                if is_control_flow:
-                    if taken:
-                        cycle += taken_penalty
-                    if streaming:
-                        # Summary counters for the streaming trace; with a
-                        # collected trace they would be recomputed from the
-                        # records, so skip the bookkeeping entirely.
-                        cf_events += 1
-                        if taken:
-                            taken_cf_events += 1
-                        kind_name = kind.value
-                        by_kind[kind_name] = by_kind.get(kind_name, 0) + 1
-                    if batch_monitors or collect:
-                        record = make_record(
-                            retired, cycle, pc, word, instruction,
-                            next_pc, kind, taken,
-                        )
-                        if collect:
-                            append_record(record)
-                        if batch_monitors:
-                            batch.append(record)
-                            if len(batch) >= flush_at:
-                                # Re-bind before delivering: if a monitor
-                                # raises mid-flush, the finally block must
-                                # not re-deliver these records.
-                                flush = batch
-                                batch = []
-                                for deliver in batch_monitors:
-                                    deliver(flush)
-                elif collect:
-                    append_record(make_record(
-                        retired, cycle, pc, word, instruction,
-                        next_pc, kind, False,
-                    ))
-                retired += 1
-                pc = next_pc
-        finally:
-            self.pc = pc
-            self.cycle = cycle
-            self.retired = retired
-            if batch:
-                flush = batch
-                batch = []
-                for deliver in batch_monitors:
-                    deliver(flush)
-            # Batched delivery only carries control-flow records: sync the
-            # final retirement count and cycle so monitor statistics cover
-            # the straight-line tail of the run as well.
-            for finish in self._finish_monitors:
-                finish(retired, cycle)
-            if not collect:
-                self.trace.absorb_counts(
-                    instructions=retired - start_retired,
-                    cycles=cycle,
-                    control_flow_events=cf_events,
-                    taken_control_flow_events=taken_cf_events,
-                    by_kind=by_kind,
-                )
-        if hook_redirected:
-            # The straight-line instructions retired since the last
-            # control-flow record produced no records; hand their pc range
-            # to the monitors (loop-exit checks) before observation resumes
-            # per record.
-            for sync in self._linear_sync_monitors:
-                sync(redirect_from, cycle)
-            # The hooks for this retirement already ran (and redirected):
-            # execute the redirect target without re-firing them, then
-            # finish the run per record -- exactly the legacy behaviour.
-            self.step(_skip_hooks=True)
-            while not self.halted:
-                self.step()
-        return self._result()
-
     def run_compiled(self, plan) -> ExecutionResult:
         """Inter-block trampoline over compiled superblock step functions.
 
-        The third engine (see :mod:`repro.cpu.compile`): each iteration
+        The production engine (see :mod:`repro.cpu.compile`): each iteration
         looks up the compiled block headed at ``pc`` and executes the whole
         block with a single call -- no per-instruction dispatch.  Cycle and
         retirement deltas come back as compile-time constants; control-flow
         trace records are materialized per edge from the block's static
         templates so downstream traces and measurements stay byte-identical
-        to the other engines.  Monitors exposing ``observe_block`` absorb
-        each block's chain-internal jumps from one precomputed chunk; the
-        block terminator (and everything for batch-only monitors) flows
-        through the same ``observe_batch`` batching as :meth:`run_fast`.
+        to the :meth:`step` oracle.  Monitors exposing ``observe_block``
+        absorb each block's chain-internal jumps from one precomputed chunk;
+        the block terminator (and everything for batch-only monitors) is
+        delivered in ``observe_batch`` batches.
 
-        Runs that the trampoline cannot finish -- a transfer to an address
-        that is not an instruction, or a block whose worst-case retirement
-        would cross the fuel limit -- delegate the remainder of the run to
-        :meth:`run_fast` with identical semantics.
+        pc hooks (:meth:`add_pc_hook`) run on a per-run view of the plan in
+        which every hook pc heads a block, so the trampoline fires them
+        just before entering that block.
+
+        A run the trampoline cannot finish hands the rest of the run to the
+        :meth:`step` loop with identical semantics: a transfer to an address
+        that is not an instruction, a block whose worst-case retirement
+        would cross the fuel limit, a data region the plan was not built
+        for, or a hook that moves ``cpu.pc``.
         """
         config = self.config
-        blocks_get = plan.blocks.get
+        hooks = self._pc_hooks
+        if hooks:
+            blocks = plan.hooked_blocks(hooks)
+        else:
+            blocks = plan.blocks
+        blocks_get = blocks.get
         compile_block_at = plan.compile_block_at
         batch_monitors = self._batch_monitors
         block_monitors = self._block_monitors
@@ -446,33 +317,47 @@ class Cpu:
                 # Defensive: the generated guards bake the data-region
                 # bounds in; without a matching live buffer the plan
                 # cannot run (unreachable for CPUs built the normal way).
-                self.engine_used = "fast"
-                return self.run_fast()
+                return self._finish_on_step(pc, redirected=False)
             buf = region[2]
             view = memoryview(buf)
             mv2 = view.cast("H")
             mv4 = view.cast("I")
-        #: Set when the remainder of the run must finish on ``run_fast``
-        #: (pc that is not an instruction, or fuel check too close to the limit
-        #: for a whole-block step).
-        delegated = False
+        #: Set when the rest of the run goes to the step loop; ``sync_pc``
+        #: is where batched observation ended, and ``redirected`` marks a
+        #: hook that moved the pc (its target executes without hooks).
+        handoff = redirected = False
+        sync_pc = pc
         try:
             while not self.halted:
                 entry = blocks_get(pc)
                 if entry is None:
                     entry = compile_block_at(pc)
                     if entry is None:
-                        delegated = True
+                        # Not an instruction: Cpu.step raises the fault.
+                        sync_pc = pc
+                        handoff = True
                         break
+                    if hooks:
+                        entry = plan.split_block(entry, hooks, blocks)
                 (fn, size, templates, n_internal, term_cf, term_template,
                  cf_total, static_chunk, static_pairs,
                  kind_items) = entry.packed
                 if retired + size > fuel:
                     # A whole-block step could cross the fuel limit;
-                    # run_fast raises OutOfFuelError at the exact
-                    # instruction, identically to the legacy loop.
-                    delegated = True
+                    # Cpu.step raises OutOfFuelError at the exact
+                    # instruction.
+                    sync_pc = pc
+                    handoff = True
                     break
+                if hooks and pc in hooks:
+                    self.pc = pc
+                    self.cycle = cycle
+                    self.retired = retired
+                    if self._fire_pc_hooks(hooks[pc]):
+                        sync_pc = pc
+                        pc = self.pc
+                        handoff = redirected = True
+                        break
                 next_pc, rdelta, cdelta, taken, cf_seen = fn(
                     self, x, rf, load, store, buf, mv2, mv4)
                 base_retired = retired
@@ -533,6 +418,9 @@ class Cpu:
                                 next_pc, kind, taken,
                             ))
                             if len(batch) >= flush_at:
+                                # Re-bind before delivering: if a monitor
+                                # raises mid-flush, the finally block must
+                                # not re-deliver these records.
                                 flush = batch
                                 batch = []
                                 for deliver in batch_monitors:
@@ -563,30 +451,16 @@ class Cpu:
             self.pc = pc
             self.cycle = cycle
             self.retired = retired
-            if not delegated:
-                if batch:
-                    flush = batch
-                    batch = []
-                    for deliver in batch_monitors:
-                        deliver(flush)
-                for finish in self._finish_monitors:
-                    finish(retired, cycle)
-                self.trace.absorb_counts(
-                    instructions=retired - start_retired,
-                    cycles=cycle,
-                    control_flow_events=cf_events,
-                    taken_control_flow_events=taken_cf_events,
-                    by_kind=by_kind,
-                )
-        if delegated:
-            # Flush what the compiled portion produced, account for it, and
-            # finish the run on the fused interpreter (which calls the
-            # finish monitors and absorbs its own portion of the counters).
             if batch:
                 flush = batch
                 batch = []
                 for deliver in batch_monitors:
                     deliver(flush)
+            # Batched delivery only carries control-flow records: sync the
+            # retirement count and cycle so monitor statistics cover the
+            # straight-line tail of the compiled portion as well.
+            for finish in self._finish_monitors:
+                finish(retired, cycle)
             self.trace.absorb_counts(
                 instructions=retired - start_retired,
                 cycles=cycle,
@@ -594,7 +468,25 @@ class Cpu:
                 taken_control_flow_events=taken_cf_events,
                 by_kind=by_kind,
             )
-            return self.run_fast()
+        if handoff:
+            return self._finish_on_step(sync_pc, redirected)
+        return self._result()
+
+    def _finish_on_step(self, sync_pc: int, redirected: bool) -> ExecutionResult:
+        """Finish a compiled run on the per-instruction :meth:`step` loop.
+
+        The straight-line instructions retired since the last control-flow
+        record produced no records; their pc range (up to ``sync_pc``) goes
+        to the monitors' loop-exit checks before observation resumes per
+        record.  After a hook redirect the target executes without
+        re-firing hooks: this retirement's hooks already ran.
+        """
+        for sync in self._linear_sync_monitors:
+            sync(sync_pc, self.cycle)
+        if redirected:
+            self.step(_skip_hooks=True)
+        while not self.halted:
+            self.step()
         return self._result()
 
     def _result(self) -> ExecutionResult:
@@ -607,28 +499,6 @@ class Cpu:
             registers=self.registers.snapshot(),
         )
 
-    def _build_fast_entry(self, pc: int) -> tuple:
-        """Fetch, decode and classify the instruction at ``pc`` once.
-
-        Code memory is read-execute, so the pc -> word mapping is immutable
-        within one program image and the resulting dispatch entry can be
-        reused for every subsequent visit (and, through the shared cache,
-        every subsequent run of the same program).
-        """
-        word = self.memory.fetch_word(pc)
-        instruction = self._decode(pc, word)
-        executor = _EXECUTORS.get(instruction.mnemonic)
-        if executor is None:  # pragma: no cover - decoder only emits known ops
-            raise IllegalInstructionError(pc, word)
-        kind = classify_branch(instruction)
-        entry = (executor, instruction, word, kind, kind.is_control_flow)
-        self._fast_table[pc] = entry
-        # Keep the legacy decode cache coherent so mixed step()/run() use of
-        # the same program image never decodes twice.
-        if self._decode_cache is not None:
-            self._decode_cache[pc] = (word, instruction)
-        return entry
-
     def step(self, _skip_hooks: bool = False) -> Optional[TraceRecord]:
         """Fetch, decode and execute a single instruction."""
         if self.halted:
@@ -636,9 +506,10 @@ class Cpu:
         if self.retired >= self.config.max_instructions:
             raise OutOfFuelError(self.config.max_instructions)
 
-        if not _skip_hooks:
-            for hook in self._pre_hooks:
-                hook(self, self.pc, self.retired)
+        if self._pc_hooks and not _skip_hooks:
+            hooks = self._pc_hooks.get(self.pc)
+            if hooks:
+                self._fire_pc_hooks(hooks)
 
         pc = self.pc
         word = self.memory.fetch_word(pc)
@@ -903,9 +774,6 @@ class DecodedInstructionCache:
     def __init__(self, max_programs: int = 64) -> None:
         self.max_programs = max_programs
         self._tables: Dict[str, Dict[int, Tuple[int, Instruction]]] = {}
-        #: Fast-path dispatch tables, keyed like :attr:`_tables`: pc ->
-        #: (executor, instruction, word, kind, is_control_flow).
-        self._fast_tables: Dict[str, Dict[int, tuple]] = {}
         # Guards the evict-then-insert sequences below.  Table *contents*
         # stay lock-free (per-pc inserts are idempotent and dict ops are
         # atomic under the GIL); the lock only keeps one thread's eviction
@@ -924,24 +792,8 @@ class DecodedInstructionCache:
                 if table is None:
                     if len(self._tables) >= self.max_programs:
                         self._tables.clear()
-                        self._fast_tables.clear()
                     table = {}
                     self._tables[digest] = table
-        return table
-
-    def fast_table_for(self, program: Program) -> Dict[int, tuple]:
-        """The (lazily filled) fast-path dispatch table for ``program``."""
-        digest = program.digest
-        table = self._fast_tables.get(digest)
-        if table is None:
-            with self._lock:
-                table = self._fast_tables.get(digest)
-                if table is None:
-                    if len(self._fast_tables) >= self.max_programs:
-                        self._tables.clear()
-                        self._fast_tables.clear()
-                    table = {}
-                    self._fast_tables[digest] = table
         return table
 
     @property
@@ -954,7 +806,6 @@ class DecodedInstructionCache:
 
     def clear(self) -> None:
         self._tables.clear()
-        self._fast_tables.clear()
 
 
 #: The shared decode cache (one per process; workers each build their own).
@@ -966,12 +817,9 @@ def run_program(
     inputs: Optional[List[int]] = None,
     config: Optional[CpuConfig] = None,
     monitors: Optional[List[Monitor]] = None,
-    pre_hooks: Optional[List[PreInstructionHook]] = None,
 ) -> ExecutionResult:
     """Convenience wrapper: build a :class:`Cpu`, attach monitors, run."""
     cpu = Cpu(program, inputs=inputs, config=config)
     for monitor in monitors or []:
         cpu.attach_monitor(monitor)
-    for hook in pre_hooks or []:
-        cpu.add_pre_instruction_hook(hook)
     return cpu.run()

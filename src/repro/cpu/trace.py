@@ -175,7 +175,7 @@ class ControlFlowTrace:
 
     The compact representation behind the capture-once / verify-many
     pipeline: only the control-flow :class:`TraceRecord` objects are kept --
-    exactly the stream the fast execution path delivers to batched monitors
+    exactly the stream the compiled engine delivers to batched monitors
     -- together with the summary counters of the straight-line instructions
     between them.  Replaying the records through a scheme session's
     ``observe_batch`` (plus one ``finish_run`` with the stored totals)
@@ -184,8 +184,8 @@ class ControlFlowTrace:
 
     A :class:`ControlFlowTrace` doubles as a CPU monitor: attach
     :meth:`observe` via :meth:`repro.cpu.core.Cpu.attach_monitor` and the
-    fast path feeds it through :meth:`observe_batch`/:meth:`finish_run`,
-    while the legacy per-record loop goes through :meth:`observe`.  The
+    compiled engine feeds it through :meth:`observe_batch`/:meth:`finish_run`,
+    while the per-record step loop goes through :meth:`observe`.  The
     statistics surface mirrors :class:`ExecutionTrace` (``cycles``,
     ``control_flow_events``, ``summary()``, ``len()``), so cost models work
     on it unchanged; per-instruction record access raises
@@ -203,7 +203,7 @@ class ControlFlowTrace:
         self._instructions = instructions
         self._cycles = cycles
         #: False when the capture observed a control-flow redirect without a
-        #: record (a pre-hook rewrote the PC): the straight-line continuity
+        #: record (a pc hook rewrote the PC): the straight-line continuity
         #: batched replay relies on is broken, so replaying these records
         #: could diverge from the live measurement.
         self._replayable = replayable
@@ -239,7 +239,7 @@ class ControlFlowTrace:
             self._cf_records.append(record)
 
     def observe_batch(self, records) -> None:
-        """Batched capture hook (fast path; control-flow records only)."""
+        """Batched capture hook (compiled engine; control-flow records only)."""
         if records:
             self._cf_records.extend(records)
             last_cycle = records[-1].cycle
@@ -255,14 +255,17 @@ class ControlFlowTrace:
         self.observe_batch(records)
 
     def finish_run(self, instructions: int, cycle: int) -> None:
-        """End-of-run sync from the fast path (totals incl. straight-line tail)."""
+        """End-of-batch sync from the compiled engine (totals incl. the
+        straight-line tail)."""
         if instructions > self._instructions:
             self._instructions = instructions
         if cycle > self._cycles:
             self._cycles = cycle
 
     def sync_straight_line(self, next_pc: int, cycle: int) -> None:
-        """A pre-hook redirected control flow: mark the capture non-replayable."""
+        """Batched delivery ended mid-run and the run continues on the step
+        loop (e.g. a pc hook redirected control flow): mark the capture
+        non-replayable."""
         self._replayable = False
 
     # ---------------------------------------------------------- statistics
@@ -374,9 +377,9 @@ class StreamingTrace:
         taken_control_flow_events: int,
         by_kind: Dict[str, int],
     ) -> None:
-        """Fold the summary counters of a fast-path run into the trace.
+        """Fold the summary counters of a compiled run into the trace.
 
-        The fused inner loop (:meth:`repro.cpu.core.Cpu.run_fast`) counts
+        The compiled engine (:meth:`repro.cpu.core.Cpu.run_compiled`) counts
         retirements locally instead of materializing a :class:`TraceRecord`
         per instruction; this absorbs those counters in one call so the
         streaming trace reports the same summary as per-record appends.

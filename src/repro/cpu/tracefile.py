@@ -21,7 +21,7 @@ Format (little-endian):
 
 Version negotiation happens in the reader: v1 archives deserialise to a full
 :class:`ExecutionTrace` exactly as before, v2 files to a
-:class:`ControlFlowTrace`.  v1 cannot represent a fast-path (control-flow
+:class:`ControlFlowTrace`.  v1 cannot represent a compiled-engine (control-flow
 only) capture -- writing one as v1 is an error rather than a silent loss.
 
 The decoded instruction is reconstructed from the stored instruction word, so

@@ -139,7 +139,7 @@ class BranchFilter:
     def observe(self, record: TraceRecord) -> None:
         """Process one retired instruction (the per-cycle pipeline snoop).
 
-        Its loop-exit check covers its own pc only: a pre-hook may have
+        Its loop-exit check covers its own pc only: a pc hook may have
         moved the pc since the previous record."""
         self._linear_start = None
         self._observe_records((record,))
@@ -301,10 +301,11 @@ class BranchFilter:
     def sync_straight_line(self, next_pc: int, cycle: int) -> None:
         """Apply loop-exit checks for an unobserved straight-line run.
 
-        Called when batched observation ends mid-run (a pre-hook redirected
-        control flow): straight-line execution advanced from the last
-        observed record's ``next_pc`` up to -- but not including --
-        ``next_pc``, and produced no records.  This performs the same
+        Called when batched observation ends mid-run and the run continues
+        on the per-record step loop (e.g. a pc hook redirected control
+        flow): straight-line execution advanced from the last observed
+        record's ``next_pc`` up to -- but not including -- ``next_pc``, and
+        produced no records.  This performs the same
         range-based exit check :meth:`observe_batch` would have applied at
         the next control-flow record, so switching to per-record observation
         afterwards starts from the correct loop state.

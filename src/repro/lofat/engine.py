@@ -160,7 +160,7 @@ class LoFatEngine:
         self.branch_filter.sync_straight_line(next_pc, cycle)
 
     def finish_run(self, instructions: int, cycle: int) -> None:
-        """End-of-run sync from the fast path.
+        """End-of-batch sync from the compiled engine.
 
         Batches carry control-flow records only; this delivers the final
         retirement count and cycle so the filter's ``instructions_observed``
@@ -223,7 +223,6 @@ def attest_execution(
     inputs: Optional[List[int]] = None,
     config: Optional[LoFatConfig] = None,
     cpu_config=None,
-    pre_hooks=None,
     collect_trace: Optional[bool] = None,
 ):
     """Run ``program`` with LO-FAT attached; return (ExecutionResult, measurement).
@@ -248,8 +247,6 @@ def attest_execution(
     cpu = Cpu(program, inputs=inputs, config=cpu_config)
     engine = LoFatEngine(config)
     cpu.attach_monitor(engine.observe)
-    for hook in pre_hooks or []:
-        cpu.add_pre_instruction_hook(hook)
     result = cpu.run()
     measurement = engine.finalize()
     return result, measurement

@@ -139,13 +139,13 @@ class MeasurementSession(abc.ABC):
 
     Sessions may additionally implement ``observe_batch(records)``, which
     receives batches of *control-flow* records only (in retirement order).
-    When every attached monitor provides it, the CPU uses its fused
-    fast-path loop (:meth:`repro.cpu.core.Cpu.run_fast`) and never
+    When every attached monitor provides it, the CPU runs the compiled
+    engine (:meth:`repro.cpu.core.Cpu.run_compiled`) and never
     materializes records for straight-line instructions; a batch
     implementation must therefore produce the same measurement from the
     control-flow stream alone.  All three first-class schemes do.  Sessions
-    without the hook keep the legacy per-record loop and continue to see
-    every retired instruction.
+    without the hook run on the per-record :meth:`repro.cpu.core.Cpu.step`
+    loop and continue to see every retired instruction.
 
     Concurrency contract: a session belongs to exactly one execution and
     one thread/task -- it is never shared or reused across executions
@@ -165,9 +165,9 @@ class MeasurementSession(abc.ABC):
         """Close the session and return the measurement (idempotent)."""
 
     def finish_run(self, instructions: int, cycle: int) -> None:
-        """End-of-run sync from the CPU's fast path (optional override).
+        """End-of-run sync from the compiled engine (optional override).
 
-        Called once when a fast-path run ends, with the total retirement
+        Called once when batched delivery ends, with the total retirement
         count and the final cycle -- information a batch implementation
         cannot recover from control-flow records alone.  The default does
         nothing; sessions tracking per-instruction counters override it.
@@ -282,14 +282,14 @@ class AttestationScheme(abc.ABC):
         are used) captured from one execution of ``program``; its records
         are streamed into the session's ``observe_batch`` hook in
         retirement order, followed by one ``finish_run`` carrying the stored
-        instruction/cycle totals -- the same delivery the CPU's fast path
+        instruction/cycle totals -- the same delivery the compiled engine
         performs live, so the measurement ``A``, the metadata ``L`` and the
         session statistics are byte-identical to live execution.
 
         Raises :class:`SchemeError` for a session without batched
         observation (per-record replay of a control-flow-only trace would
         miss the straight-line instructions its loop tracking needs) and for
-        a capture marked non-replayable (a pre-instruction hook redirected
+        a capture marked non-replayable (a pc hook redirected
         control flow mid-run, breaking the straight-line continuity batched
         observation reconstructs).
         """
@@ -302,7 +302,7 @@ class AttestationScheme(abc.ABC):
             )
         if not getattr(trace, "replayable", True):
             raise SchemeError(
-                "trace is not replayable (a pre-instruction hook redirected "
+                "trace is not replayable (a pc hook redirected "
                 "control flow during capture); re-attest live instead"
             )
         records = trace.control_flow_records

@@ -147,8 +147,13 @@ class CFlatAttestation:
         inputs: Optional[List[int]] = None,
         cpu_config: Optional[CpuConfig] = None,
     ) -> Tuple[ExecutionResult, CFlatResult]:
-        """Run ``program`` and attest it with the C-FLAT cost model."""
-        cpu = Cpu(program, inputs=inputs, config=cpu_config)
+        """Run ``program`` and attest it with the C-FLAT cost model.
+
+        The measurement reads the run's control-flow records, so a given
+        ``cpu_config`` must collect the trace (the default does).
+        """
+        cpu = Cpu(program, inputs=inputs,
+                  config=cpu_config or CpuConfig(collect_trace=True))
         result = cpu.run()
         return result, self.attest(program, result)
 
@@ -189,7 +194,7 @@ class CFlatSession(MeasurementSession):
 
         Byte-identical to per-record observation: the digest covers the same
         (Src, Dest) sequence, concatenated into a single sponge update.
-        Both the CPU's live fast path and stored-trace replay
+        Both the CPU's live compiled engine and stored-trace replay
         (:meth:`repro.schemes.base.AttestationScheme.replay_measurement`)
         deliver through this hook.
         """
@@ -232,7 +237,7 @@ class CFlatSession(MeasurementSession):
             self.observe_batch(records)
 
     def finish_run(self, instructions, cycle) -> None:
-        # Keeps the reported ``attested_cycles`` exact on the fast path: the
+        # Keeps the reported ``attested_cycles`` exact on the compiled engine: the
         # last *instruction* cycle, not the last control-flow cycle.
         if self._finalized is None and cycle > self._last_cycle:
             self._last_cycle = cycle

@@ -100,7 +100,7 @@ class StaticSession(MeasurementSession):
 
     def observe_batch(self, records) -> None:
         # Batched delivery carries no information either; declaring the hook
-        # keeps static-scheme executions on the CPU's fast path and makes
+        # keeps static-scheme executions on the compiled engine and makes
         # stored-trace replay a no-op stream.
         pass
 

@@ -195,11 +195,6 @@ class CampaignSpec:
     #: Attestation schemes to sweep; every job population is repeated once
     #: per scheme.
     schemes: List[str] = field(default_factory=lambda: ["lofat"])
-    #: Execution engine for the prover-side CPU simulations ("legacy",
-    #: "fast" or "compiled"); None defers to the runner's CPU configuration.
-    #: All engines are architecturally identical -- this only selects the
-    #: simulation pipeline, never the produced measurements.
-    engine: Optional[str] = None
 
     # ------------------------------------------------------------ validation
     def validate(self) -> None:
@@ -212,12 +207,6 @@ class CampaignSpec:
             raise CampaignSpecError(
                 "unknown verify_mode %r (expected database/replay/structural)"
                 % self.verify_mode
-            )
-        if self.engine is not None and self.engine not in (
-                "legacy", "fast", "compiled"):
-            raise CampaignSpecError(
-                "unknown engine %r (expected legacy, fast or compiled)"
-                % self.engine
             )
         if not self.schemes:
             raise CampaignSpecError("campaign selects no attestation schemes")
@@ -326,7 +315,6 @@ class CampaignSpec:
             "include_benign": self.include_benign,
             "repeats": self.repeats,
             "verify_mode": self.verify_mode,
-            "engine": self.engine,
         }
 
     def to_json(self) -> str:
@@ -346,7 +334,7 @@ class CampaignSpec:
             raise CampaignSpecError("campaign spec must be a mapping")
         unknown = set(document) - {
             "name", "description", "schemes", "workloads", "configs",
-            "attacks", "include_benign", "repeats", "verify_mode", "engine",
+            "attacks", "include_benign", "repeats", "verify_mode",
         }
         if unknown:
             raise CampaignSpecError(
@@ -410,8 +398,6 @@ class CampaignSpec:
             repeats=int(document.get("repeats", 1)),
             verify_mode=str(document.get("verify_mode", "database")),
             schemes=[str(s) for s in document.get("schemes", ["lofat"])],
-            engine=(None if document.get("engine") is None
-                    else str(document["engine"])),
         )
         spec.validate()
         return spec

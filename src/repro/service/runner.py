@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -159,8 +159,8 @@ class CampaignResult:
     spec_name: str
     verify_mode: str
     workers: int
-    #: The execution engine of the prover-side simulations ("legacy",
-    #: "fast" or "compiled").
+    #: The execution engine of the prover-side simulations ("legacy" or
+    #: "compiled").
     engine: str = "compiled"
     #: Report-production pipeline: "capture" (two-stage, the default) or
     #: "live" (fused capture+attest per job).
@@ -286,7 +286,7 @@ class CampaignRunner:
                 "unknown pipeline %r (expected 'capture' or 'live')" % pipeline
             )
         jobs = spec.expand()
-        cpu_config = self._effective_cpu_config(spec)
+        cpu_config = self.cpu_config
         started_total = time.perf_counter()
         database_counters = self.database.counters()
 
@@ -356,24 +356,12 @@ class CampaignRunner:
         signatures, ref_signatures = self._plan_signatures(spec, jobs)
         started = time.perf_counter()
         stats = self._capture_unique(
-            jobs, signatures, ref_signatures, workers,
-            self._effective_cpu_config(spec))
+            jobs, signatures, ref_signatures, workers, self.cpu_config)
         stats["capture_seconds"] = time.perf_counter() - started
         stats["store"] = self.trace_store.stats()
         return stats
 
     # ------------------------------------------------------------ plumbing
-    def _effective_cpu_config(self, spec: CampaignSpec) -> Optional[CpuConfig]:
-        """The runner's CPU configuration with the spec's engine applied.
-
-        The engine never participates in execution signatures or capture
-        digests (it cannot change the simulated machine), so two campaigns
-        differing only in engine share captures and measurements.
-        """
-        if spec.engine is None:
-            return self.cpu_config
-        return replace(self.cpu_config or CpuConfig(), engine=spec.engine)
-
     def _plan_signatures(
         self, spec: CampaignSpec, jobs: Sequence[CampaignJob]
     ) -> Tuple[List[str], List[Optional[str]]]:

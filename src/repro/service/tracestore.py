@@ -42,8 +42,8 @@ from typing import Dict, Optional, Sequence, Tuple
 from repro.cpu.tracefile import loads_trace, trace_digest
 from repro.service.fsutil import atomic_write_text
 
-#: CpuConfig fields that do not change the captured execution: the three
-#: execution engines are architecturally identical (pinned by
+#: CpuConfig fields that do not change the captured execution: the compiled
+#: engine and the Cpu.step oracle are architecturally identical (pinned by
 #: tests/test_fastpath_equivalence.py), and collect_trace is forced off
 #: during capture.
 _CPU_CONFIG_IGNORED_FIELDS = frozenset({"collect_trace", "engine"})

@@ -210,7 +210,7 @@ def execute_capture_job(
 
     Scheme-independent by construction: no measurement session is attached,
     only a :class:`repro.cpu.trace.ControlFlowTrace` capturing the
-    control-flow record stream (the exact stream the fast path would hand a
+    control-flow record stream (the exact stream the compiled engine hands a
     scheme session) plus the straight-line run counters.  Attack scenarios
     install their memory-corruption hooks exactly as the live prover does,
     so the captured trace is the attacked execution.

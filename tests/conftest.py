@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cpu.core import Cpu
+from repro.cpu.core import Cpu, CpuConfig
 from repro.isa.assembler import assemble
 from repro.lofat.engine import LoFatEngine
 from repro.workloads import get_workload
@@ -94,7 +94,8 @@ def call_return_program():
 
 def run_with_lofat(program, inputs=None, config=None):
     """Helper: run a program with a LO-FAT engine attached."""
-    cpu = Cpu(program, inputs=list(inputs or []))
+    cpu = Cpu(program, inputs=list(inputs or []),
+              config=CpuConfig(collect_trace=True))
     engine = LoFatEngine(config)
     cpu.attach_monitor(engine.observe)
     result = cpu.run()

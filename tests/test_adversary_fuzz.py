@@ -48,7 +48,8 @@ def _v2_blob():
         li   a7, 93
         ecall
     """)
-    result = Cpu(program, config=CpuConfig(max_instructions=1000)).run()
+    result = Cpu(program, config=CpuConfig(collect_trace=True,
+                                         max_instructions=1000)).run()
     return dumps_trace(ControlFlowTrace.from_trace(result.trace))
 
 

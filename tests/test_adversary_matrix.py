@@ -37,6 +37,8 @@ from repro.service.presets import adversary_campaign
 from repro.service.runner import CampaignRunner
 from repro.workloads import get_workload
 
+from adversary_suites import adversary_suites
+
 #: One fixed seed for the whole module so the expensive artefacts (suites,
 #: oracle run) are generated once and shared.
 SEED = 20170618
@@ -44,9 +46,7 @@ SEED = 20170618
 
 @pytest.fixture(scope="module")
 def suites():
-    return {
-        name: generate_suite(name, seed=SEED) for name in DEFAULT_WORKLOADS
-    }
+    return adversary_suites(SEED)
 
 
 @pytest.fixture(scope="module")

@@ -9,7 +9,7 @@ import pytest
 
 from repro.schemes.cflat import CFlatAttestation, CFlatCostModel
 from repro.schemes.static import StaticAttestation
-from repro.cpu.core import Cpu
+from repro.cpu.core import Cpu, CpuConfig
 from repro.isa.assembler import assemble
 from repro.workloads import get_workload
 
@@ -62,7 +62,8 @@ class TestCFlatAttestation:
     def test_measurement_matches_trace_pairs(self):
         workload = get_workload("auth_check")
         program = workload.build()
-        cpu = Cpu(program, inputs=list(workload.inputs))
+        cpu = Cpu(program, inputs=list(workload.inputs),
+                  config=CpuConfig(collect_trace=True))
         result = cpu.run()
         cflat = CFlatAttestation()
         outcome = cflat.attest(program, result)
@@ -73,8 +74,9 @@ class TestCFlatAttestation:
         workload = get_workload("auth_check")
         program = workload.build()
         cflat = CFlatAttestation()
-        good = Cpu(program, inputs=[4242]).run()
-        bad = Cpu(program, inputs=[1]).run()
+        traced = CpuConfig(collect_trace=True)
+        good = Cpu(program, inputs=[4242], config=traced).run()
+        bad = Cpu(program, inputs=[1], config=traced).run()
         assert cflat.measure_trace(good.trace) != cflat.measure_trace(bad.trace)
 
     def test_instrumented_instruction_count(self):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cfg.builder import EdgeKind, build_cfg
-from repro.cpu.core import run_program
+from repro.cpu.core import CpuConfig, run_program
 from repro.isa.assembler import assemble
 from repro.workloads import get_workload
 
@@ -100,7 +100,8 @@ class TestCfgCoversExecution:
         workload = get_workload(workload_name)
         program = workload.build()
         cfg = build_cfg(program)
-        result = run_program(program, inputs=list(workload.inputs))
+        result = run_program(program, inputs=list(workload.inputs),
+                             config=CpuConfig(collect_trace=True))
         edge_set = cfg.edge_set()
         for record in result.trace.control_flow_records:
             if not record.taken:

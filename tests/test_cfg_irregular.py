@@ -83,7 +83,7 @@ def _run(program, inputs):
     return Cpu(
         program,
         inputs=list(inputs),
-        config=CpuConfig(max_instructions=2_000_000),
+        config=CpuConfig(collect_trace=True, max_instructions=2_000_000),
     ).run()
 
 
@@ -103,7 +103,8 @@ def test_dynamic_trace_within_static_claims(name, source, inputs, expected):
     policy = analysis.policy
 
     result, measurement = get_scheme("lofat").measure_execution(
-        compiled.program, list(inputs))
+        compiled.program, list(inputs),
+        cpu_config=CpuConfig(collect_trace=True))
     valid_pairs = analysis.valid_pairs
     for pair in result.trace.executed_edges:
         assert pair in valid_pairs, (

@@ -5,7 +5,7 @@ import pytest
 from repro.cfg.builder import build_cfg
 from repro.cfg.loops import find_natural_loops
 from repro.cfg.paths import EdgeValidity, PathChecker
-from repro.cpu.core import run_program
+from repro.cpu.core import CpuConfig, run_program
 from repro.workloads import get_workload
 
 
@@ -20,7 +20,8 @@ def figure4_setup():
 class TestEdgeValidity:
     def test_valid_conditional_edges(self, figure4_setup):
         workload, program, cfg, checker = figure4_setup
-        result = run_program(program, inputs=list(workload.inputs))
+        result = run_program(program, inputs=list(workload.inputs),
+                             config=CpuConfig(collect_trace=True))
         for record in result.trace.control_flow_records:
             verdict = checker.classify_edge(*record.src_dest)
             assert verdict.ok, "benign edge %#x->%#x judged %s" % (
@@ -93,7 +94,8 @@ class TestPathChecking:
         workload = get_workload(workload_name)
         program = workload.build()
         checker = PathChecker(build_cfg(program))
-        result = run_program(program, inputs=list(workload.inputs))
+        result = run_program(program, inputs=list(workload.inputs),
+                             config=CpuConfig(collect_trace=True))
         outcome = checker.check_path(result.trace.executed_edges)
         assert outcome.valid, "violation at %s" % (outcome.first_violation,)
 
@@ -101,7 +103,8 @@ class TestPathChecking:
         workload = get_workload("figure4_loop")
         program = workload.build()
         checker = PathChecker(build_cfg(program))
-        result = run_program(program, inputs=list(workload.inputs))
+        result = run_program(program, inputs=list(workload.inputs),
+                             config=CpuConfig(collect_trace=True))
         edges = list(result.trace.executed_edges)
         # Redirect one edge to an arbitrary (but in-program) address that is
         # not a successor of its source.
@@ -115,7 +118,8 @@ class TestPathChecking:
         workload = get_workload("figure4_loop")
         program = workload.build()
         checker = PathChecker(build_cfg(program))
-        result = run_program(program, inputs=list(workload.inputs))
+        result = run_program(program, inputs=list(workload.inputs),
+                             config=CpuConfig(collect_trace=True))
         edges = list(result.trace.executed_edges)
         # Drop an intermediate edge: the resulting sequence "teleports".
         del edges[1]
@@ -126,7 +130,8 @@ class TestPathChecking:
         workload = get_workload("figure4_loop")
         program = workload.build()
         checker = PathChecker(build_cfg(program))
-        result = run_program(program, inputs=list(workload.inputs))
+        result = run_program(program, inputs=list(workload.inputs),
+                             config=CpuConfig(collect_trace=True))
         outcome = checker.check_path(result.trace.executed_edges, record_verdicts=True)
         assert outcome.valid
         assert len(outcome.verdicts) == len(result.trace.executed_edges)

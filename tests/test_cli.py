@@ -22,7 +22,10 @@ class TestParser:
         assert args.inputs is None
 
 
-class TestEngineFlags:
+class TestEngineSurface:
+    """The execution engine is not a CLI knob: every execution runs on the
+    compiled engine, with the ``Cpu.step`` loop kept as the oracle."""
+
     @pytest.mark.parametrize("command", [
         ["run", "crc32"],
         ["attest", "crc32"],
@@ -31,55 +34,22 @@ class TestEngineFlags:
         ["fleet-load"],
         ["workloads"],
     ])
-    def test_engine_flag_parses_everywhere(self, command):
-        args = build_parser().parse_args(command + ["--engine", "compiled"])
-        assert args.engine == "compiled"
-
-    def test_engine_defaults_to_none(self):
-        from repro.cli import _cpu_config
-
-        args = build_parser().parse_args(["run", "crc32"])
-        assert args.engine is None
-        assert _cpu_config(args).engine == "compiled"
-
-    def test_unknown_engine_rejected_by_parser(self, capsys):
+    def test_engine_flag_is_gone(self, command, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(["run", "crc32", "--engine", "turbo"])
+            build_parser().parse_args(command + ["--engine", "compiled"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err
+
+    def test_fastpath_command_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["fastpath"])
         assert excinfo.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
-    def test_explicit_engine_reaches_cpu_config(self):
-        from repro.cli import _cpu_config
-
-        args = build_parser().parse_args(["run", "crc32", "--engine", "legacy"])
-        assert _cpu_config(args).engine == "legacy"
-
-    def test_engine_help_names_compiled_default(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "--help"])
-        help_text = " ".join(capsys.readouterr().out.split())
-        assert "(compiled, the default)" in help_text
-
-    def test_run_with_compiled_engine(self, capsys):
-        assert main(["run", "figure4_loop", "--engine", "compiled"]) == 0
+    def test_run_prints_the_result(self, capsys):
+        assert main(["run", "figure4_loop"]) == 0
         out = capsys.readouterr().out
         assert "output" in out
-
-    def test_fastpath_check_requires_compiled_default(self, capsys):
-        assert main(["fastpath", "--workload", "figure4_loop",
-                     "--repeats", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "default engine: compiled" in out
-        assert "fastpath check: OK" in out
-
-    def test_attest_engines_agree(self, capsys):
-        measurements = []
-        for engine in ("legacy", "fast", "compiled"):
-            assert main(["attest", "crc32", "--engine", engine]) == 0
-            out = capsys.readouterr().out
-            measurements.append(next(
-                line for line in out.splitlines() if "measurement A" in line))
-        assert measurements[0] == measurements[1] == measurements[2]
 
 
 class TestCommands:

@@ -263,13 +263,15 @@ class TestControlFlow:
         assert result.output == "14"
 
     def test_branch_kinds_in_trace(self, call_return_program):
-        result = run_program(call_return_program)
+        result = run_program(call_return_program,
+                             config=CpuConfig(collect_trace=True))
         kinds = [r.kind for r in result.trace if r.is_control_flow]
         assert BranchKind.DIRECT_CALL in kinds
         assert BranchKind.RETURN in kinds
 
     def test_loop_trace_counts(self, simple_loop_program):
-        result = run_program(simple_loop_program)
+        result = run_program(simple_loop_program,
+                             config=CpuConfig(collect_trace=True))
         assert result.output == "10"
         # 6 bge evaluations (5 not taken + final taken) and 5 backward jumps.
         conditionals = [r for r in result.trace
@@ -297,7 +299,9 @@ class TestControlFlow:
         """)
         # Overwrite the nop with an undecodable word at load time.
         program = assemble("_start:\n    nop")
-        cpu = Cpu(program)
+        # The step loop fetches from memory; a compiled plan is built from
+        # the program image, which the overwrite does not change.
+        cpu = Cpu(program, config=CpuConfig(engine="legacy"))
         cpu.memory.load_image(0, b"\xff\xff\xff\xff")
         with pytest.raises(IllegalInstructionError):
             cpu.run()
@@ -353,7 +357,7 @@ class TestCycleModel:
 class TestMonitorsAndHooks:
     def test_monitor_sees_every_retired_instruction(self, simple_loop_program):
         seen = []
-        cpu = Cpu(simple_loop_program)
+        cpu = Cpu(simple_loop_program, config=CpuConfig(collect_trace=True))
         cpu.attach_monitor(seen.append)
         result = cpu.run()
         assert len(seen) == result.instructions
@@ -367,7 +371,7 @@ class TestMonitorsAndHooks:
         assert monitored.cycles == plain.cycles
         assert monitored.output == plain.output
 
-    def test_pre_instruction_hook_can_corrupt_data(self):
+    def test_pc_hook_can_corrupt_data(self):
         source = """
             .data
         flag: .word 0
@@ -380,13 +384,13 @@ class TestMonitorsAndHooks:
         """ + EXIT
         program = assemble(source)
 
-        def corrupt(cpu, pc, retired):
-            if pc == program.symbol("_start") + 8:  # before the lw
-                cpu.memory.store_word(program.symbol("flag"), 99)
+        def corrupt(cpu):
+            cpu.memory.store_word(program.symbol("flag"), 99)
 
         cpu = Cpu(program)
-        cpu.add_pre_instruction_hook(corrupt)
+        cpu.add_pc_hook(program.symbol("_start") + 8, corrupt)  # before the lw
         assert cpu.run().output == "99"
+        assert cpu.engine_used == "compiled"
 
     def test_exit_code_propagated(self):
         result = run_source("""

@@ -1,8 +1,11 @@
 """Unit tests for trace records and classification."""
 
-from repro.cpu.core import run_program
+from repro.cpu.core import CpuConfig, run_program
 from repro.cpu.trace import BranchKind, ExecutionTrace, TraceRecord, classify_branch
 from repro.isa.instructions import Instruction
+
+#: These tests read per-instruction records.
+TRACED = CpuConfig(collect_trace=True)
 
 
 class TestClassifyBranch:
@@ -57,7 +60,7 @@ class TestTraceRecord:
 
 class TestExecutionTrace:
     def test_summary_counts(self, simple_loop_program):
-        result = run_program(simple_loop_program)
+        result = run_program(simple_loop_program, config=TRACED)
         summary = result.trace.summary()
         assert summary["instructions"] == result.instructions
         assert summary["cycles"] == result.cycles
@@ -65,17 +68,17 @@ class TestExecutionTrace:
         assert summary["by_kind"]["conditional"] == 6
 
     def test_executed_edges_are_control_flow_only(self, simple_loop_program):
-        result = run_program(simple_loop_program)
+        result = run_program(simple_loop_program, config=TRACED)
         edges = result.trace.executed_edges
         assert len(edges) == result.trace.control_flow_events
         assert all(isinstance(edge, tuple) and len(edge) == 2 for edge in edges)
 
     def test_taken_events_subset(self, simple_loop_program):
-        trace = run_program(simple_loop_program).trace
+        trace = run_program(simple_loop_program, config=TRACED).trace
         assert trace.taken_control_flow_events <= trace.control_flow_events
 
     def test_indexing_and_iteration(self, simple_loop_program):
-        trace = run_program(simple_loop_program).trace
+        trace = run_program(simple_loop_program, config=TRACED).trace
         assert trace[0].index == 0
         assert len(list(iter(trace))) == len(trace)
 

@@ -19,7 +19,8 @@ from repro.workloads import get_workload
 
 def run_workload(name):
     workload = get_workload(name)
-    cpu = Cpu(workload.build(), inputs=list(workload.inputs))
+    cpu = Cpu(workload.build(), inputs=list(workload.inputs),
+              config=CpuConfig(collect_trace=True))
     engine = LoFatEngine()
     cpu.attach_monitor(engine.observe)
     result = cpu.run()
@@ -27,7 +28,7 @@ def run_workload(name):
 
 
 def capture_workload(name):
-    """Fast-path (control-flow-only) capture of a workload execution."""
+    """Compiled-engine (control-flow-only) capture of a workload execution."""
     workload = get_workload(name)
     cpu = Cpu(workload.build(), inputs=list(workload.inputs),
               config=CpuConfig(collect_trace=False))

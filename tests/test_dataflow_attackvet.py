@@ -58,7 +58,7 @@ def _setup(workload_name):
     profile = Cpu(
         program,
         inputs=list(workload.inputs),
-        config=CpuConfig(max_instructions=FUEL),
+        config=CpuConfig(collect_trace=True, max_instructions=FUEL),
     ).run()
     executed_pcs = sorted({r.pc for r in profile.trace.records})
     return workload, program, analysis, executed_pcs

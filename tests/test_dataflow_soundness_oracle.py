@@ -17,6 +17,7 @@ inference, never in the program under test.
 import pytest
 
 from repro.adversary.generator import DEFAULT_WORKLOADS, generate_suite
+from repro.cpu.core import CpuConfig
 from repro.dataflow import analyze_program
 from repro.dataflow.semantics import register_def, register_uses
 from repro.isa.assembler import assemble
@@ -45,7 +46,8 @@ def _check_soundness(name, program, inputs):
     analysis = analyze_program(program)
     policy = analysis.policy
     scheme = get_scheme("lofat")
-    result, measurement = scheme.measure_execution(program, list(inputs))
+    result, measurement = scheme.measure_execution(
+        program, list(inputs), cpu_config=CpuConfig(collect_trace=True))
 
     valid_pairs = analysis.valid_pairs
     for pair in result.trace.executed_edges:

@@ -18,7 +18,9 @@ WORKLOAD_NAMES = [workload.name for workload in all_workloads()]
 
 
 def _run(program, inputs, **config_overrides):
-    cpu = Cpu(program, inputs=list(inputs), config=CpuConfig(**config_overrides))
+    """A traced run: the per-instruction step loop is what decodes."""
+    cpu = Cpu(program, inputs=list(inputs),
+              config=CpuConfig(collect_trace=True, **config_overrides))
     return cpu.run()
 
 

@@ -7,7 +7,7 @@ from repro.attestation import Prover, Verifier
 from repro.cfg.builder import build_cfg
 from repro.cfg.loops import find_natural_loops
 from repro.cfg.paths import PathChecker
-from repro.cpu.core import Cpu
+from repro.cpu.core import Cpu, CpuConfig
 from repro.lofat.engine import LoFatEngine
 from repro.workloads import all_workloads, get_workload
 
@@ -98,7 +98,8 @@ class TestTraceConsistency:
         """Everything the hash engine absorbed really was executed."""
         workload = get_workload(name)
         program = workload.build()
-        cpu = Cpu(program, inputs=list(workload.inputs))
+        cpu = Cpu(program, inputs=list(workload.inputs),
+                  config=CpuConfig(collect_trace=True))
         engine = LoFatEngine()
         cpu.attach_monitor(engine.observe)
         result = cpu.run()

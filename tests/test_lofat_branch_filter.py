@@ -4,7 +4,7 @@ The filter is exercised through the LO-FAT engine attached to small, purpose
 written programs, mirroring how the hardware block sees the pipeline signals.
 """
 
-from repro.cpu.core import Cpu
+from repro.cpu.core import Cpu, CpuConfig
 from repro.isa.assembler import assemble
 from repro.lofat.branch_filter import FilterEventKind
 from repro.lofat.config import LoFatConfig
@@ -13,7 +13,8 @@ from repro.lofat.engine import LoFatEngine
 
 def run_engine(source, inputs=None, config=None, record_events=True):
     program = assemble(source)
-    cpu = Cpu(program, inputs=list(inputs or []))
+    cpu = Cpu(program, inputs=list(inputs or []),
+              config=CpuConfig(collect_trace=True))
     engine = LoFatEngine(config, record_filter_events=record_events)
     cpu.attach_monitor(engine.observe)
     result = cpu.run()

@@ -75,12 +75,12 @@ def _family_cases():
 
 
 def _adversary_cases():
-    from repro.adversary.generator import DEFAULT_WORKLOADS, generate_suite
     from repro.workloads import get_workload
 
-    for workload_name in DEFAULT_WORKLOADS:
+    from adversary_suites import adversary_suites
+
+    for workload_name, suite in adversary_suites(SEED).items():
         program = get_workload(workload_name).build()
-        suite = generate_suite(workload_name, seed=SEED)
         for variant in suite.benign:
             yield variant.name, program, variant.inputs, (), None
         for scenario in suite.attacks:

@@ -7,7 +7,7 @@ from repro.attestation.protocol import AttestationChallenge
 from repro.schemes.cflat import CFlatAttestation, CFlatCostModel
 from repro.schemes.static import StaticAttestation
 from repro.service.database import MeasurementDatabase
-from repro.cpu.core import Cpu
+from repro.cpu.core import Cpu, CpuConfig
 from repro.schemes import (
     SCHEME_REGISTRY,
     AttestationScheme,
@@ -123,7 +123,8 @@ def _measure(scheme_name, workload_name="figure4_loop", inputs=None):
     program = workload.build()
     scheme = get_scheme(scheme_name)
     session = scheme.open_session(program, scheme.default_config())
-    cpu = Cpu(program, inputs=list(workload.inputs if inputs is None else inputs))
+    cpu = Cpu(program, inputs=list(workload.inputs if inputs is None else inputs),
+              config=CpuConfig(collect_trace=True))
     cpu.attach_monitor(session.observe)
     result = cpu.run()
     return program, result, session.finalize()

@@ -83,32 +83,15 @@ class TestSpecParsing:
             CampaignSpec.from_dict({"name": "x", "workloads": ["crc32"],
                                     "worklods": []})
 
-    def test_engine_defaults_to_none(self):
-        spec = CampaignSpec.from_dict({"name": "demo", "workloads": ["crc32"]})
-        assert spec.engine is None
-        assert spec.to_dict()["engine"] is None
-
-    def test_engine_roundtrips(self):
-        spec = CampaignSpec.from_dict({
-            "name": "demo", "workloads": ["crc32"], "engine": "compiled",
-        })
-        assert spec.engine == "compiled"
-        restored = CampaignSpec.from_json(spec.to_json())
-        assert restored.engine == "compiled"
-        restored.validate()
-
-    @pytest.mark.parametrize("engine", ["legacy", "fast", "compiled"])
-    def test_known_engines_validate(self, engine):
-        spec = CampaignSpec.from_dict({
-            "name": "demo", "workloads": ["crc32"], "engine": engine,
-        })
-        spec.validate()
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(CampaignSpecError, match="unknown engine"):
+    def test_engine_key_rejected(self):
+        """The execution engine is not a campaign knob: a document that
+        still names one is rejected as an unknown key (fails closed)."""
+        with pytest.raises(CampaignSpecError, match="unknown campaign spec keys"):
             CampaignSpec.from_dict({
-                "name": "demo", "workloads": ["crc32"], "engine": "turbo",
-            }).validate()
+                "name": "demo", "workloads": ["crc32"], "engine": "compiled",
+            })
+        spec = CampaignSpec.from_dict({"name": "demo", "workloads": ["crc32"]})
+        assert "engine" not in spec.to_dict()
 
     def test_invalid_json_rejected(self):
         with pytest.raises(CampaignSpecError, match="invalid campaign JSON"):

@@ -218,10 +218,10 @@ class TestJobResults:
         summary = format_campaign_summary(result)
         assert "attacks detected : 2/2" in summary
         assert "execution path   : compiled, capture/attest pipeline" in summary
-        fast = CampaignRunner(cpu_config=CpuConfig(engine="fast")).run(
+        legacy = CampaignRunner(cpu_config=CpuConfig(engine="legacy")).run(
             small_spec, pipeline="live")
-        assert "execution path   : fast, live pipeline" in \
-            format_campaign_summary(fast)
+        assert "execution path   : legacy, live pipeline" in \
+            format_campaign_summary(legacy)
         table = format_campaign_table(result, limit=3)
         assert "more jobs" in table
         assert format_campaign_failures(result) == "no unexpected job outcomes"

@@ -296,7 +296,7 @@ class TestRedirectedCaptures:
         yield name
         unregister_attack(name)
 
-    @pytest.mark.parametrize("engine", ["legacy", "fast", "compiled"])
+    @pytest.mark.parametrize("engine", ["legacy", "compiled"])
     def test_redirected_capture_is_not_replayable(self, redirect_attack,
                                                   engine):
         capture = execute_capture_job(
@@ -307,11 +307,13 @@ class TestRedirectedCaptures:
         spec = CampaignSpec(
             name="redirect", workloads=[WorkloadSelection("figure4_loop")],
             schemes=["lofat", "cflat"], attacks=[redirect_attack],
-            engine=engine,
         )
-        live = CampaignRunner().run(spec, pipeline="live")
+        runner_config = CpuConfig(engine=engine)
+        live = CampaignRunner(cpu_config=runner_config).run(
+            spec, pipeline="live")
         clear_replay_cache()
-        captured = CampaignRunner().run(spec, pipeline="capture")
+        captured = CampaignRunner(cpu_config=runner_config).run(
+            spec, pipeline="capture")
         assert captured.identities() == live.identities()
 
 
