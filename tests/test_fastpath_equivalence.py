@@ -294,6 +294,39 @@ class TestCompiledRunShapes:
         assert cpu.engine_used == "compiled"
         assert plan.blocks == blocks_before
 
+    def test_hooked_runs_reuse_split_pieces(self, monkeypatch):
+        """The pieces of one (block, cut) are compiled once per plan: every
+        later view with that cut, and every run hooked there, shares them."""
+        from repro.cpu import compile as compile_module
+
+        workload = get_workload("crc32")
+        program = workload.build()
+        plan = compile_module.COMPILE_CACHE.plan_for(program, CpuConfig())
+        largest = max(plan.blocks.values(), key=lambda block: block.size)
+        inner = sorted(largest.inner_pcs)
+        cuts = {inner[0], inner[-1]}
+        first = plan.hooked_blocks(cuts)
+        second = plan.hooked_blocks(cuts)
+        assert first[largest.head] is not largest
+        for pc in (largest.head, *cuts):
+            assert second[pc] is first[pc]
+
+        compiled = []
+        real_compile_chain = compile_module._compile_chain
+
+        def counting_compile_chain(*args):
+            compiled.append(args[1])
+            return real_compile_chain(*args)
+
+        monkeypatch.setattr(compile_module, "_compile_chain",
+                            counting_compile_chain)
+        cpu = Cpu(program, inputs=list(workload.inputs))
+        for pc in cuts:
+            cpu.add_pc_hook(pc, lambda c: None)
+        cpu.run()
+        assert cpu.engine_used == "compiled"
+        assert compiled == []
+
     def test_collect_trace_runs_on_step_loop(self):
         """Trace collection needs per-record delivery, so it runs on the
         step loop and the collected trace is the oracle's."""
@@ -594,6 +627,39 @@ class TestHookedDifferential:
         assert bump_fired > occurrence
         assert corruption_fired == (
             bump_fired - occurrence + 1 if repeat else 1)
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_hooks_of_one_pc_run_in_order_until_one_redirects(self,
+                                                              position):
+        """Three hooks share the loop branch's pc; the redirect among them
+        fires on the second visit and ends that round, so only the hooks
+        added before it see the visit."""
+        workload = get_workload("figure4_loop")
+        program = workload.build()
+        reference = Cpu(program, inputs=list(workload.inputs),
+                        config=CpuConfig(collect_trace=True)).run()
+        loop_branch = next(record.pc for record in reference.trace
+                           if record.kind.value == "conditional")
+
+        redirects = []
+
+        def make_hooks():
+            hooks = [RegisterBump(loop_branch, register="t6", amount=1)
+                     for _ in range(2)]
+            redirects.append(ControlFlowRedirect(
+                trigger_pc=loop_branch, target=loop_branch + 4,
+                occurrence=2))
+            hooks.insert(position, redirects[-1])
+            return hooks
+
+        fired = _assert_matches_oracle(program, workload.inputs,
+                                       make_hooks)[-1]
+        # The redirect runs on every visit; it moves the pc on one of them.
+        visits = redirects[-1]._seen
+        assert visits > 2
+        assert fired[position] == 1
+        assert fired[:position] + fired[position + 1:] == (
+            [visits] * position + [visits - 1] * (2 - position))
 
     def test_skip_one_instruction_mid_loop(self):
         """A hook that redirects (no trace record exists for the transfer)
