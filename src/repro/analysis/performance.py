@@ -16,7 +16,7 @@ For every workload we run the *same* execution three ways:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.schemes import get_scheme
@@ -96,9 +96,10 @@ def compare_workload(
     program = workload.build()
 
     # 1. Baseline: no attestation attached.  C-FLAT's loop-event discount
-    #    needs the per-record trace, which the default configuration keeps.
-    baseline_cpu = Cpu(program, inputs=list(workload.inputs),
-                       config=cpu_config or CpuConfig(collect_trace=True))
+    #    needs the per-record trace, kept whatever config the caller passes.
+    baseline_cpu = Cpu(
+        program, inputs=list(workload.inputs),
+        config=replace(cpu_config or CpuConfig(), collect_trace=True))
     baseline = baseline_cpu.run()
 
     # 2. LO-FAT: same execution with the hardware monitor attached.

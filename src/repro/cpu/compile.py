@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import sys
 import threading
-from typing import Callable, Collection, Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Collection, Dict, List, Optional, Tuple
 
 from repro.cfg.basic_blocks import split_basic_blocks
 from repro.cfg.superblocks import form_superblocks
@@ -100,7 +100,7 @@ class CompiledBlock:
     """One superblock compiled to a step function plus its CF templates."""
 
     __slots__ = (
-        "head", "members", "inner_pcs", "fn", "size", "templates", "n_internal",
+        "head", "members", "fn", "size", "templates", "n_internal",
         "term_cf", "term_template", "cf_total", "static_chunk",
         "static_pairs", "kind_items", "packed",
     )
@@ -119,10 +119,6 @@ class CompiledBlock:
         #: The chain's member instruction runs, kept to split the block
         #: at a hook pc.
         self.members = members
-        #: Every instruction address the block holds past its head.
-        self.inner_pcs = frozenset(
-            instr.address for member in members for instr in member
-        ) - {head}
         self.fn = fn
         #: Maximum instructions one execution of this block can retire
         #: (the trampoline's conservative fuel check).
@@ -178,10 +174,6 @@ class CompiledProgram:
         #: leader, lazily for stray entry points (indirect targets that are
         #: not leaders).
         self.blocks: Dict[int, CompiledBlock] = {}
-        #: (block head, hook pcs inside it) -> the block's split pieces, in
-        #: chain order; shared by every hooked run that cuts a block alike.
-        self._split_pieces: Dict[
-            Tuple[int, FrozenSet[int]], Tuple[CompiledBlock, ...]] = {}
         self._instruction_by_address: Dict[int, Instruction] = {
             instr.address: instr for instr in program.instructions
         }
@@ -241,33 +233,33 @@ class CompiledProgram:
         The pieces go into ``view``: the first replaces ``block`` at its
         head, each later one heads at its hook pc unless ``view`` already
         has a block there.  Returns the block ``view`` now holds at
-        ``block.head``.  The pieces of one cut are compiled once per plan.
+        ``block.head``.  The pieces are compiled afresh for each run.
         """
-        cuts = block.inner_pcs.intersection(hook_pcs)
+        head = block.head
+        cuts = {
+            instr.address for member in block.members for instr in member
+            if instr.address in hook_pcs and instr.address != head
+        }
         if not cuts:
-            view[block.head] = block
+            view[head] = block
             return block
-        key = (block.head, cuts)
-        pieces = self._split_pieces.get(key)
-        if pieces is None:
-            chains: List[List[Tuple[Instruction, ...]]] = [[]]
-            for member in block.members:
-                run: List[Instruction] = []
-                for instr in member:
-                    if instr.address in cuts:
-                        if run:
-                            chains[-1].append(tuple(run))
-                            run = []
-                        chains.append([])
-                    run.append(instr)
-                chains[-1].append(tuple(run))
-            pieces = tuple(
-                _compile_chain(self.program, chain[0][0].address,
-                               tuple(chain), self.costs)
-                for chain in chains)
-            # Idempotent insert, like compile_block_at.
-            self._split_pieces[key] = pieces
-        view[block.head] = pieces[0]
+        chains: List[List[Tuple[Instruction, ...]]] = [[]]
+        for member in block.members:
+            run: List[Instruction] = []
+            for instr in member:
+                if instr.address in cuts:
+                    if run:
+                        chains[-1].append(tuple(run))
+                        run = []
+                    chains.append([])
+                run.append(instr)
+            chains[-1].append(tuple(run))
+        pieces = [
+            _compile_chain(self.program, chain[0][0].address, tuple(chain),
+                           self.costs)
+            for chain in chains
+        ]
+        view[head] = pieces[0]
         for piece in pieces[1:]:
             view.setdefault(piece.head, piece)
         return pieces[0]

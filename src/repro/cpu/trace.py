@@ -207,7 +207,8 @@ class ControlFlowTrace:
         #: batched replay relies on is broken, so replaying these records
         #: could diverge from the live measurement.
         self._replayable = replayable
-        #: ``next_pc`` of the last per-record observation (None before any).
+        #: ``next_pc`` of the last per-record observation, or where batched
+        #: delivery handed off to the step loop (None before either).
         self._expected_pc: Optional[int] = None
 
     @classmethod
@@ -264,9 +265,10 @@ class ControlFlowTrace:
 
     def sync_straight_line(self, next_pc: int, cycle: int) -> None:
         """Batched delivery ended mid-run and the run continues on the step
-        loop (e.g. a pc hook redirected control flow): mark the capture
-        non-replayable."""
-        self._replayable = False
+        loop at ``next_pc``.  The next per-record observation checks that
+        pc: a hook redirect starts elsewhere and marks the capture
+        non-replayable, a plain hand-off (e.g. the fuel tail) keeps it."""
+        self._expected_pc = next_pc
 
     # ---------------------------------------------------------- statistics
     @property

@@ -8,6 +8,7 @@ from repro.analysis.sweep import (
     granularity_sweep,
     hash_density_sweep,
 )
+from repro.cpu.core import CpuConfig
 from repro.schemes.cflat import CFlatCostModel
 from repro.workloads import get_workload
 
@@ -63,6 +64,17 @@ class TestWorkloadComparison:
             workload, cflat_cost=CFlatCostModel(loop_event_discount=1.0))
         assert discounted.baseline_cycles == full.baseline_cycles
         assert discounted.cflat_cycles < full.cflat_cycles
+
+    def test_caller_cpu_config_keeps_loop_discount(self):
+        # The baseline keeps its per-record trace under any caller config,
+        # so a streaming CpuConfig must not drop C-FLAT's loop discount.
+        workload = get_workload("crc32")
+        cost = CFlatCostModel(loop_event_discount=1.0)
+        default = compare_workload(workload, cflat_cost=cost)
+        supplied = compare_workload(
+            workload, cflat_cost=cost,
+            cpu_config=CpuConfig(max_instructions=10_000_000))
+        assert supplied.cflat_cycles == default.cflat_cycles
 
     def test_row_structure(self):
         row = compare_workload(get_workload("auth_check")).as_row()

@@ -147,7 +147,11 @@ class TestFormatV2:
 
     def test_replayable_flag_roundtrips(self):
         _, capture = capture_workload("figure4_loop")
-        capture.sync_straight_line(0, 0)  # pre-hook redirect marker
+        # A hook redirect: the step loop resumes away from where batched
+        # delivery ended.
+        record = capture.control_flow_records[0]
+        capture.sync_straight_line(record.pc + 4, 0)
+        capture.observe(record)
         restored = loads_trace(dumps_trace(capture))
         assert not restored.replayable
 

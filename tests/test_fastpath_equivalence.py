@@ -285,7 +285,9 @@ class TestCompiledRunShapes:
         plan = COMPILE_CACHE.plan_for(program, CpuConfig())
         blocks_before = dict(plan.blocks)
         largest = max(plan.blocks.values(), key=lambda block: block.size)
-        inside = sorted(largest.inner_pcs)[len(largest.inner_pcs) // 2]
+        inner = [instr.address for member in largest.members
+                 for instr in member][1:]
+        inside = inner[len(inner) // 2]
         cpu = Cpu(program, inputs=list(workload.inputs))
         cpu.add_pc_hook(inside, lambda c: None)
         cpu.add_pc_hook(program.code_base + len(program.code) + 64,
@@ -293,39 +295,6 @@ class TestCompiledRunShapes:
         cpu.run()
         assert cpu.engine_used == "compiled"
         assert plan.blocks == blocks_before
-
-    def test_hooked_runs_reuse_split_pieces(self, monkeypatch):
-        """The pieces of one (block, cut) are compiled once per plan: every
-        later view with that cut, and every run hooked there, shares them."""
-        from repro.cpu import compile as compile_module
-
-        workload = get_workload("crc32")
-        program = workload.build()
-        plan = compile_module.COMPILE_CACHE.plan_for(program, CpuConfig())
-        largest = max(plan.blocks.values(), key=lambda block: block.size)
-        inner = sorted(largest.inner_pcs)
-        cuts = {inner[0], inner[-1]}
-        first = plan.hooked_blocks(cuts)
-        second = plan.hooked_blocks(cuts)
-        assert first[largest.head] is not largest
-        for pc in (largest.head, *cuts):
-            assert second[pc] is first[pc]
-
-        compiled = []
-        real_compile_chain = compile_module._compile_chain
-
-        def counting_compile_chain(*args):
-            compiled.append(args[1])
-            return real_compile_chain(*args)
-
-        monkeypatch.setattr(compile_module, "_compile_chain",
-                            counting_compile_chain)
-        cpu = Cpu(program, inputs=list(workload.inputs))
-        for pc in cuts:
-            cpu.add_pc_hook(pc, lambda c: None)
-        cpu.run()
-        assert cpu.engine_used == "compiled"
-        assert compiled == []
 
     def test_collect_trace_runs_on_step_loop(self):
         """Trace collection needs per-record delivery, so it runs on the

@@ -104,10 +104,47 @@ class TestSchemeLevelEquivalence:
     def test_non_replayable_trace_is_refused(self):
         from repro.schemes.base import SchemeError
         program, _, _, trace = capture_execution("figure4_loop")
-        trace.sync_straight_line(0, 0)  # what a pre-hook redirect triggers
+        # What a hook redirect triggers: batched delivery hands off at one
+        # pc and the step loop's next record starts at another.
+        record = trace.control_flow_records[0]
+        trace.sync_straight_line(record.pc + 4, 0)
+        trace.observe(record)
         assert not trace.replayable
         with pytest.raises(SchemeError):
             get_scheme("lofat").replay_measurement(program, trace)
+
+    def test_capture_finished_after_fuel_tail_stays_replayable(
+            self, monkeypatch):
+        """With the fuel limit at the run's exact length, a block whose worst
+        case crosses it hands the compiled run to Cpu.step, which halts in
+        time: the capture stays replayable and replays to the live
+        measurement."""
+        workload = get_workload("dispatcher")
+        program = workload.build()
+        inputs = list(workload.inputs)
+        length = Cpu(program, inputs=inputs).run().instructions
+        config = CpuConfig(max_instructions=length)
+
+        handoffs = []
+        finish_on_step = Cpu._finish_on_step
+
+        def recording_finish_on_step(cpu, *args):
+            handoffs.append(args)
+            return finish_on_step(cpu, *args)
+
+        monkeypatch.setattr(Cpu, "_finish_on_step", recording_finish_on_step)
+        cpu = Cpu(program, inputs=inputs, config=config)
+        trace = ControlFlowTrace()
+        cpu.attach_monitor(trace.observe)
+        result = cpu.run()
+        assert handoffs and result.instructions == length
+        assert trace.replayable
+
+        scheme = get_scheme("lofat")
+        _, live = scheme.measure_execution(program, inputs, cpu_config=config)
+        replayed = scheme.replay_measurement(program, trace)
+        assert replayed.measurement == live.measurement
+        assert replayed.metadata.to_bytes() == live.metadata.to_bytes()
 
 
 def _job(scheme, workload="figure4_loop", attack=None, inputs=(5,)):
