@@ -25,7 +25,7 @@ import math
 import time
 
 from repro.analysis.report import format_table
-from repro.cpu.compile import COMPILE_CACHE, clear_compile_cache
+from repro.cpu.compile import COMPILE_CACHE
 from repro.cpu.core import Cpu, CpuConfig
 from repro.schemes import get_scheme
 from repro.workloads import get_workload
@@ -94,7 +94,7 @@ def test_e17_compiled_speedup(benchmark, report_writer):
         inputs = list(workload.inputs)
 
         # Cold: drop every plan, time the run that has to compile first.
-        clear_compile_cache()
+        COMPILE_CACHE.clear()
         cpu = Cpu(program, inputs=list(inputs), config=compiled_config)
         started = time.perf_counter()
         cpu.run()
@@ -172,7 +172,7 @@ def test_e17_compiled_is_cached_across_runs(report_writer):
     program = workload.build()
     config = CpuConfig(engine="compiled")
     lofat = get_scheme("lofat")
-    clear_compile_cache()
+    COMPILE_CACHE.clear()
     before = COMPILE_CACHE.compiles
     lofat.measure_execution(program, list(workload.inputs), cpu_config=config)
     lofat.measure_execution(program, list(workload.inputs), cpu_config=config)

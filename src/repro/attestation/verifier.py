@@ -49,6 +49,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from repro.attestation.crypto import fresh_nonce, verify_signature
 from repro.attestation.protocol import AttestationChallenge, AttestationReport
+from repro.cache import DigestCache
 from repro.cpu.core import CpuConfig
 from repro.dataflow.policy import StaticPolicy
 from repro.dataflow.program import ProgramAnalysis, analyze_program
@@ -57,12 +58,6 @@ from repro.lofat.metadata import LoopMetadata
 from repro.schemes import get_scheme
 # Re-exported for backward compatibility: these historically lived here.
 from repro.schemes.base import VerdictReason, VerificationResult  # noqa: F401
-
-#: Growth bound for a verifier's memoised structural verdicts: benign
-#: metadata repeats, attack metadata is mostly distinct, so the cache is
-#: cleared wholesale when a flood of distinct L values fills it.
-_STRUCTURAL_CACHE_MAX = 4096
-
 
 class Verifier:
     """The remote verifier V (scheme-agnostic)."""
@@ -81,9 +76,10 @@ class Verifier:
         #: analysis, the installed policy, the scheme's counter width and
         #: the metadata bytes, so each distinct L is checked once (the cache
         #: is cleared when a policy is installed, a scheme is reconfigured
-        #: or an id is re-registered with a different binary).
-        self._structural_cache: Dict[
-            Tuple[str, str, bytes], VerificationResult] = {}
+        #: or an id is re-registered with a different binary).  Benign
+        #: metadata repeats and attack metadata is mostly distinct, so a
+        #: flood of distinct L values evicts the least recently seen.
+        self._structural_cache = DigestCache(budget=4096)
         #: Per-program StaticPolicy artifacts enforced before replay/lookup.
         self._policies: Dict[str, StaticPolicy] = {}
 
@@ -282,14 +278,10 @@ class Verifier:
 
         cache_key = (report.program_id, report.scheme,
                      report.metadata.to_bytes())
-        structural = self._structural_cache.get(cache_key)
-        if structural is None:
-            structural = self._check_metadata_structure(
+        structural = self._structural_cache.get_or_build(
+            cache_key, lambda: self._check_metadata_structure(
                 report.program_id, report.metadata,
-                self.scheme_config(report.scheme))
-            if len(self._structural_cache) >= _STRUCTURAL_CACHE_MAX:
-                self._structural_cache.clear()
-            self._structural_cache[cache_key] = structural
+                self.scheme_config(report.scheme)))
         if not structural.accepted:
             return structural
 

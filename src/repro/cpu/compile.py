@@ -55,9 +55,9 @@ its hooks between blocks.
 from __future__ import annotations
 
 import sys
-import threading
 from typing import Callable, Collection, Dict, List, Optional, Tuple
 
+from repro.cache import DigestCache
 from repro.cfg.basic_blocks import split_basic_blocks
 from repro.cfg.superblocks import form_superblocks
 from repro.cpu.core import _div_value, _rem_value
@@ -650,25 +650,14 @@ def _build_plan(program: Program, costs: CostKey) -> CompiledProgram:
     return plan
 
 
-class CompiledProgramCache:
-    """Process-wide compiled-program store with single-flight compilation.
+class CompiledProgramCache(DigestCache):
+    """The process-wide compiled-program store.
 
     Keyed by (program digest, cost key): generated code bakes the cycle
-    costs in as constants, so two cost models never share a plan.  The
-    eviction discipline matches :class:`repro.cpu.core.DecodedInstructionCache`
-    (bounded size, clear-on-full under the lock); on top of it, concurrent
-    requests for the same key are single-flighted -- one thread compiles
-    while the others wait on an event and then read the shared plan, so a
-    campaign fanning N workers over one digest compiles once, not N times.
+    costs in as constants, so two cost models never share a plan.  Builds
+    are single-flighted by :class:`repro.cache.DigestCache`, so a campaign
+    fanning N worker threads over one digest compiles once, not N times.
     """
-
-    def __init__(self, max_programs: int = 64) -> None:
-        self.max_programs = max_programs
-        self._plans: Dict[Tuple[str, CostKey], CompiledProgram] = {}
-        self._inflight: Dict[Tuple[str, CostKey], threading.Event] = {}
-        self._lock = threading.Lock()
-        #: Number of plan builds performed (tests assert single-flight).
-        self.compiles = 0
 
     @staticmethod
     def cost_key(config) -> CostKey:
@@ -682,57 +671,16 @@ class CompiledProgramCache:
 
     def plan_for(self, program: Program, config) -> CompiledProgram:
         """The compiled plan for ``program`` under ``config``."""
-        key = (program.digest, self.cost_key(config))
-        plans = self._plans
-        plan = plans.get(key)
-        if plan is not None:
-            return plan
-        with self._lock:
-            plan = plans.get(key)
-            if plan is not None:
-                return plan
-            event = self._inflight.get(key)
-            if event is None:
-                event = threading.Event()
-                self._inflight[key] = event
-                builder = True
-            else:
-                builder = False
-        if not builder:
-            event.wait()
-            # A failed build or a concurrent clear-on-full can leave no plan
-            # behind: ask again (and build it, or re-raise the failure).
-            return self.plan_for(program, config)
-        try:
-            plan = _build_plan(program, key[1])
-        except BaseException:
-            with self._lock:
-                self._inflight.pop(key, None)
-            event.set()
-            raise
-        with self._lock:
-            if len(plans) >= self.max_programs:
-                plans.clear()
-            plans[key] = plan
-            self.compiles += 1
-            self._inflight.pop(key, None)
-        event.set()
-        return plan
+        costs = self.cost_key(config)
+        return self.get_or_build(
+            (program.digest, costs), lambda: _build_plan(program, costs))
 
     @property
-    def cached_programs(self) -> int:
-        return len(self._plans)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._plans.clear()
+    def compiles(self) -> int:
+        """Number of plan builds performed (tests assert single-flight)."""
+        return self.builds
 
 
-#: The shared compiled-program cache (one per process, like DECODE_CACHE;
-#: forked campaign workers each build their own copy-on-write instance).
-COMPILE_CACHE = CompiledProgramCache()
-
-
-def clear_compile_cache() -> None:
-    """Drop all compiled plans (tests and benchmarks)."""
-    COMPILE_CACHE.clear()
+#: The shared compiled-program cache (one per process; forked campaign
+#: workers each build their own copy-on-write instance).
+COMPILE_CACHE = CompiledProgramCache(budget=64)

@@ -20,10 +20,10 @@ LO-FAT-vs-C-FLAT overhead comparison is apples to apples.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
+from repro.cache import DigestCache
 from repro.cpu.exceptions import IllegalInstructionError, OutOfFuelError
 from repro.cpu.memory import Memory, MemoryRegion, Permissions
 from repro.cpu.syscalls import SyscallHandler
@@ -68,9 +68,6 @@ class CpuConfig:
     data_region_size: int = 0x2_0000
     #: Maximum number of retired instructions before aborting.
     max_instructions: int = 2_000_000
-    #: Reuse decoded instructions across runs of the same program image (the
-    #: code region is read-execute, so the pc -> word mapping is immutable).
-    decoded_instruction_cache: bool = True
     #: Keep the full per-instruction record list on :attr:`Cpu.trace`.  The
     #: attestation hot paths (verifier replay, campaign workers) disable this
     #: and stream records straight to the monitors, keeping only summary
@@ -133,11 +130,7 @@ class Cpu:
         self.memory = Memory()
         self.syscalls = SyscallHandler(inputs)
         self.trace = ExecutionTrace() if self.config.collect_trace else StreamingTrace()
-        self._decode_cache = (
-            DECODE_CACHE.table_for(program)
-            if self.config.decoded_instruction_cache
-            else None
-        )
+        self._decode_cache = DECODE_CACHE.get_or_build(program.digest, dict)
         self.pc = program.entry
         self.cycle = 0
         self.retired = 0
@@ -513,16 +506,12 @@ class Cpu:
 
         pc = self.pc
         word = self.memory.fetch_word(pc)
-        cache = self._decode_cache
-        if cache is not None:
-            entry = cache.get(pc)
-            if entry is not None and entry[0] == word:
-                instruction = entry[1]
-            else:
-                instruction = self._decode(pc, word)
-                cache[pc] = (word, instruction)
+        entry = self._decode_cache.get(pc)
+        if entry is not None and entry[0] == word:
+            instruction = entry[1]
         else:
             instruction = self._decode(pc, word)
+            self._decode_cache[pc] = (word, instruction)
 
         next_pc, taken, extra_cycles = self._execute(instruction, pc)
         kind = classify_branch(instruction)
@@ -754,62 +743,13 @@ _EXECUTORS: Dict[str, Callable] = {
 }
 
 
-# ---------------------------------------------------------------------------
-# Decoded-instruction cache
-# ---------------------------------------------------------------------------
-
-
-class DecodedInstructionCache:
-    """Process-wide decoded-instruction store shared by all Cpu instances.
-
-    Keyed by program digest then PC; entries also remember the raw word so a
-    mismatch falls back to a fresh decode.  Code memory is mapped
-    read-execute, so within one program image the pc -> word mapping is
-    immutable and sharing decoded :class:`Instruction` objects across runs is
-    safe (executors never mutate them).  Repeat verifications of the same
-    program -- the campaign service's common case -- skip the decoder
-    entirely after the first run.
-    """
-
-    def __init__(self, max_programs: int = 64) -> None:
-        self.max_programs = max_programs
-        self._tables: Dict[str, Dict[int, Tuple[int, Instruction]]] = {}
-        # Guards the evict-then-insert sequences below.  Table *contents*
-        # stay lock-free (per-pc inserts are idempotent and dict ops are
-        # atomic under the GIL); the lock only keeps one thread's eviction
-        # from dropping a table another thread just registered -- the
-        # attestation server computes cold references on executor threads,
-        # so this process-wide cache is reachable concurrently.
-        self._lock = threading.Lock()
-
-    def table_for(self, program: Program) -> Dict[int, Tuple[int, Instruction]]:
-        """The (lazily filled) pc -> (word, instruction) table for ``program``."""
-        digest = program.digest
-        table = self._tables.get(digest)
-        if table is None:
-            with self._lock:
-                table = self._tables.get(digest)
-                if table is None:
-                    if len(self._tables) >= self.max_programs:
-                        self._tables.clear()
-                    table = {}
-                    self._tables[digest] = table
-        return table
-
-    @property
-    def cached_programs(self) -> int:
-        return len(self._tables)
-
-    @property
-    def cached_instructions(self) -> int:
-        return sum(len(table) for table in self._tables.values())
-
-    def clear(self) -> None:
-        self._tables.clear()
-
-
-#: The shared decode cache (one per process; workers each build their own).
-DECODE_CACHE = DecodedInstructionCache()
+#: The shared decoded-instruction store: program digest -> a lazily filled
+#: pc -> (word, instruction) table.  Code memory is mapped read-execute, so
+#: within one program image the pc -> word mapping is immutable and sharing
+#: decoded :class:`Instruction` objects across runs is safe (executors never
+#: mutate them); entries also remember the raw word, so a mismatch falls
+#: back to a fresh decode.  One table per program counts as one entry.
+DECODE_CACHE = DigestCache(budget=64)
 
 
 def run_program(

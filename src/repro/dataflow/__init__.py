@@ -23,11 +23,7 @@ from repro.dataflow.lint import Finding, lint_program, new_findings
 from repro.dataflow.liveness import DeadDef, LivenessAnalysis, analyze_liveness
 from repro.dataflow.loopbounds import LoopBound, infer_loop_bounds
 from repro.dataflow.policy import POLICY_VERSION, LoopPolicy, StaticPolicy
-from repro.dataflow.program import (
-    ProgramAnalysis,
-    analyze_program,
-    clear_analysis_cache,
-)
+from repro.dataflow.program import ProgramAnalysis, analyze_program
 from repro.dataflow.reaching import ReachingDefinitions, analyze_reaching_definitions
 
 __all__ = [
@@ -48,7 +44,6 @@ __all__ = [
     "POLICY_VERSION",
     "ProgramAnalysis",
     "analyze_program",
-    "clear_analysis_cache",
     "Finding",
     "lint_program",
     "new_findings",

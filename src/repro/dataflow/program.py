@@ -16,6 +16,7 @@ from __future__ import annotations
 import threading
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+from repro.cache import DigestCache
 from repro.cfg.builder import ControlFlowGraph, EdgeKind, build_cfg
 from repro.cfg.dominators import compute_dominators
 from repro.cfg.loops import NaturalLoop, find_natural_loops
@@ -200,24 +201,10 @@ class ProgramAnalysis:
 #: Process-wide cache of analyses, keyed by program digest.  Shared by every
 #: Verifier instance, campaign worker thread and CLI invocation in the
 #: process; entries are immutable once the lazy passes settle.
-_ANALYSIS_CACHE: Dict[str, ProgramAnalysis] = {}
-_ANALYSIS_CACHE_MAX = 64
-_ANALYSIS_CACHE_LOCK = threading.Lock()
+_ANALYSES = DigestCache(budget=64)
 
 
 def analyze_program(program: Program) -> ProgramAnalysis:
     """The cached analysis for ``program`` (one instance per digest)."""
-    analysis = _ANALYSIS_CACHE.get(program.digest)
-    if analysis is None:
-        analysis = ProgramAnalysis(program)
-        with _ANALYSIS_CACHE_LOCK:
-            if len(_ANALYSIS_CACHE) >= _ANALYSIS_CACHE_MAX:
-                _ANALYSIS_CACHE.clear()
-            _ANALYSIS_CACHE[program.digest] = analysis
-    return analysis
-
-
-def clear_analysis_cache() -> None:
-    """Drop all cached analyses (tests and benchmarks)."""
-    with _ANALYSIS_CACHE_LOCK:
-        _ANALYSIS_CACHE.clear()
+    return _ANALYSES.get_or_build(
+        program.digest, lambda: ProgramAnalysis(program))

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from repro.cache import DigestCache
 from repro.lofat.path_encoder import PathEncoding
 
 
@@ -252,11 +253,10 @@ def scan_loop_metadata(blob: bytes) -> None:
 
 
 #: Blobs that already passed :func:`scan_loop_metadata`, so re-validating a
-#: repeated ``L`` is one set lookup instead of an offset walk.  A standing
-#: verifier sees the same benign metadata on every report of a workload;
-#: bounded and cleared wholesale under a flood of distinct blobs.
-_SCANNED_BLOBS: set = set()
-_SCANNED_BLOBS_MAX = 4096
+#: repeated ``L`` is one lookup instead of an offset walk.  A standing
+#: verifier sees the same benign metadata on every report of a workload; a
+#: flood of distinct blobs evicts the least recently seen.
+_SCANNED_BLOBS = DigestCache(budget=4096)
 
 
 class LazyLoopMetadata(LoopMetadata):
@@ -277,11 +277,7 @@ class LazyLoopMetadata(LoopMetadata):
 
     def __init__(self, blob: bytes) -> None:
         blob = bytes(blob)
-        if blob not in _SCANNED_BLOBS:
-            scan_loop_metadata(blob)
-            if len(_SCANNED_BLOBS) >= _SCANNED_BLOBS_MAX:
-                _SCANNED_BLOBS.clear()
-            _SCANNED_BLOBS.add(blob)
+        _SCANNED_BLOBS.get_or_build(blob, lambda: scan_loop_metadata(blob))
         self._blob: Optional[bytes] = blob
         self._records: Optional[List[LoopRecord]] = None
 

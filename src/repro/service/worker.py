@@ -12,12 +12,12 @@ Since the capture-once / verify-many refactor the prover side is two stages:
 * :func:`execute_attest_job` -- **stage 2**: replay a stored trace through
   the job's scheme session (:meth:`AttestationScheme.replay_measurement`),
   sign the measurement and return the report -- byte-identical to live
-  execution, no simulation.  A per-process replay cache (a
-  :class:`repro.service.database.MeasurementDatabase` keyed by trace
-  digest) makes repeated (scheme, config, trace) replays O(lookup); its
-  hit/miss counters travel back on the response so the campaign report can
-  aggregate cache accounting across worker processes instead of reporting
-  only the parent's numbers.
+  execution, no simulation.  A bounded per-process replay cache (a
+  :class:`repro.cache.DigestCache` keyed by scheme, trace digest and
+  config digest) makes repeated (scheme, config, trace) replays
+  O(lookup); each response says whether its own replay hit, so the
+  campaign report can aggregate cache accounting across worker processes
+  instead of reporting only the parent's numbers.
 
 :func:`execute_prover_job` -- capture and attest fused in one call -- remains
 the single-stage path (the ``pipeline="live"`` baseline, and the fallback
@@ -40,12 +40,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.attacks import get_attack
 from repro.attestation.crypto import SecureKeyStore, sign_report
 from repro.attestation.protocol import AttestationChallenge, AttestationReport
 from repro.attestation.prover import Prover
+from repro.cache import DigestCache
 from repro.cpu.core import Cpu, CpuConfig
 from repro.cpu.trace import ControlFlowTrace
 from repro.cpu.tracefile import dumps_trace, trace_digest
@@ -53,7 +54,6 @@ from repro.isa.assembler import Program
 from repro.lofat.metadata import LazyLoopMetadata
 from repro.schemes import get_scheme
 from repro.service.campaign import CampaignJob
-from repro.service.database import MeasurementDatabase
 from repro.service.tracestore import CapturedExecution, workload_build_signature
 from repro.workloads import get_workload
 
@@ -130,28 +130,24 @@ def _keystore(device_id: str) -> SecureKeyStore:
     return SecureKeyStore(device_id=device_id)
 
 
-#: Per-process stage-2 replay cache: (A, serialized L) keyed by (scheme,
-#: trace digest, config digest).  A campaign with repeats -- or any two jobs
-#: sharing a trace under the same scheme and configuration -- replays once
-#: per process instead of once per job.
-_REPLAY_CACHE = MeasurementDatabase()
-#: Metadata and session statistics for cached replays, keyed like the replay
-#: cache: ``cache_key -> (LazyLoopMetadata, stats)``.  Caching the metadata
-#: object matters as much as caching the measurement: re-parsing ``L`` from
-#: bytes -- or re-serialising it for every report's ``to_bytes`` -- dominated
-#: the replay hot path (it is the per-report cost of the remote attestation
-#: client).  The lazy form carries the serialised bytes for free and parses
-#: records only if a consumer iterates them; the object is shared across
-#: reports, which is safe because metadata is read-only once a session
-#: finalizes.
-_REPLAY_STATS: Dict[tuple, Tuple[LazyLoopMetadata, dict]] = {}
+#: Per-process stage-2 replay cache: ``(A, serialized L, LazyLoopMetadata,
+#: stats)`` keyed by (scheme, trace digest, config digest).  A campaign with
+#: repeats -- or any two jobs sharing a trace under the same scheme and
+#: configuration -- replays once per process instead of once per job.
+#: Caching the metadata object matters as much as caching the measurement:
+#: re-parsing ``L`` from bytes -- or re-serialising it for every report's
+#: ``to_bytes`` -- dominated the replay hot path (it is the per-report cost
+#: of the remote attestation client).  The lazy form carries the serialised
+#: bytes for free and parses records only if a consumer iterates them; the
+#: object is shared across reports, which is safe because metadata is
+#: read-only once a session finalizes.  The budget holds a whole pass of a
+#: family-matrix campaign (426 distinct replays at seed 20170618).
+_REPLAY_CACHE = DigestCache(budget=1024)
 
 
 def clear_replay_cache() -> None:
     """Drop this process's stage-2 replay cache (tests and benchmarks)."""
-    global _REPLAY_CACHE
-    _REPLAY_CACHE = MeasurementDatabase()
-    _REPLAY_STATS.clear()
+    _REPLAY_CACHE.clear()
 
 
 def execute_prover_job(
@@ -270,32 +266,19 @@ def execute_attest_job(
     scheme = get_scheme(job.scheme)
     config = job.scheme_config()
     config_digest = job.scheme_config_digest()
-    cache_key = (job.scheme, capture.trace_digest, config_digest)
-    hits_before, misses_before = _REPLAY_CACHE.counters()
+    replayed = []
 
-    entry = _REPLAY_CACHE.lookup_trace(
-        job.scheme, capture.trace_digest, config, config_digest)
-    if entry is not None:
-        measurement_bytes, metadata_bytes = entry
-        cached = _REPLAY_STATS.get(cache_key)
-        if cached is not None:
-            metadata, stats = cached
-        else:
-            metadata = LazyLoopMetadata(metadata_bytes)
-            stats = {}
-    else:
+    def replay():
+        replayed.append(True)
         measured = scheme.replay_measurement(
             program, capture.trace(), config=config)
-        measurement_bytes = measured.measurement
         metadata_bytes = measured.metadata.to_bytes()
-        metadata = LazyLoopMetadata(metadata_bytes)
-        stats = measured.stats
-        _REPLAY_CACHE.store_trace(
-            job.scheme, capture.trace_digest, config,
-            measurement_bytes, metadata_bytes, config_digest,
-        )
-        _REPLAY_STATS[cache_key] = (metadata, stats)
-    hits_after, misses_after = _REPLAY_CACHE.counters()
+        return (measured.measurement, metadata_bytes,
+                LazyLoopMetadata(metadata_bytes), measured.stats)
+
+    measurement_bytes, metadata_bytes, metadata, stats = \
+        _REPLAY_CACHE.get_or_build(
+            (job.scheme, capture.trace_digest, config_digest), replay)
 
     signature = sign_report(
         measurement_bytes + metadata_bytes, nonce, _keystore(device_id))
@@ -318,7 +301,7 @@ def execute_attest_job(
         pairs_hashed=int(stats.get("pairs_hashed", 0)),
         control_flow_events=int(stats.get("control_flow_events", 0)),
         prover_seconds=elapsed,
-        replay_cache_hits=hits_after - hits_before,
-        replay_cache_misses=misses_after - misses_before,
+        replay_cache_hits=0 if replayed else 1,
+        replay_cache_misses=1 if replayed else 0,
         replayed=True,
     )

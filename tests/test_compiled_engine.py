@@ -4,8 +4,8 @@ The equivalence of the compiled engine itself is pinned in
 ``test_fastpath_equivalence.py``; this module covers the cache that makes
 it cheap: plans are built once per (digest, cost key), concurrent builders
 are single-flighted, every program gets a plan (unresolved indirect jumps
-included), and the store stays bounded under the same clear-on-full
-discipline as the decode cache.
+included), and the store stays bounded by evicting the least recently
+used plan.
 """
 
 import threading
@@ -24,7 +24,7 @@ def _config(**overrides):
 
 @pytest.fixture
 def cache():
-    return CompiledProgramCache(max_programs=4)
+    return CompiledProgramCache(budget=4)
 
 
 class TestPlanReuse:
@@ -44,7 +44,7 @@ class TestPlanReuse:
         slow = cache.plan_for(program, _config(taken_branch_penalty=7))
         assert slow is not base
         assert cache.compiles == 2
-        assert cache.cached_programs == 2
+        assert len(cache) == 2
 
     @pytest.mark.parametrize("workload_name", ["dispatcher", "state_machine"])
     def test_unresolved_indirect_program_compiles_once(self, cache,
@@ -73,25 +73,32 @@ class TestPlanReuse:
         pump = get_workload("syringe_pump").build()
         assert cache.plan_for(loop, _config()) is not cache.plan_for(
             pump, _config())
-        assert cache.cached_programs == 2
+        assert len(cache) == 2
 
 
 class TestCacheBound:
-    def test_clear_on_full_keeps_store_bounded(self, cache):
+    def test_lru_keeps_store_bounded(self, cache):
         program = get_workload("figure4_loop").build()
-        for penalty in range(cache.max_programs):
-            cache.plan_for(program, _config(taken_branch_penalty=penalty))
-        assert cache.cached_programs == cache.max_programs
+        keys = []
+        for penalty in range(cache.budget):
+            config = _config(taken_branch_penalty=penalty)
+            cache.plan_for(program, config)
+            keys.append((program.digest, cache.cost_key(config)))
+        assert len(cache) == cache.budget
+        cache.plan_for(program, _config(taken_branch_penalty=0))  # touch
         cache.plan_for(program, _config(taken_branch_penalty=99))
-        # The insert that would overflow clears the store first.
-        assert cache.cached_programs == 1
-        assert cache.compiles == cache.max_programs + 1
+        # The insert over budget evicts only the least recently used plan.
+        assert len(cache) == cache.budget
+        assert keys[1] not in cache
+        assert all(key in cache for key in keys[:1] + keys[2:])
+        assert cache.compiles == cache.budget + 1
+        assert cache.evictions == 1
 
     def test_clear_resets_plans_but_not_counter(self, cache):
         program = get_workload("figure4_loop").build()
         cache.plan_for(program, _config())
         cache.clear()
-        assert cache.cached_programs == 0
+        assert len(cache) == 0
         cache.plan_for(program, _config())
         assert cache.compiles == 2
 
@@ -147,7 +154,7 @@ class TestSingleFlight:
         monkeypatch.setattr(compile_mod, "_build_plan", exploding_build)
         with pytest.raises(RuntimeError, match="synthetic compile failure"):
             cache.plan_for(program, _config())
-        assert not cache._inflight  # no stale event left behind
+        assert not cache._building  # no stale event left behind
 
         monkeypatch.undo()
         plan = cache.plan_for(program, _config())
@@ -161,12 +168,12 @@ class TestProcessWideCache:
         program = workload.build()
         config = CpuConfig(engine="compiled", collect_trace=False)
         key = (program.digest, CompiledProgramCache.cost_key(config))
-        COMPILE_CACHE._plans.pop(key, None)
+        COMPILE_CACHE.clear()
         before = COMPILE_CACHE.compiles
         cpu = Cpu(program, inputs=list(workload.inputs), config=config)
         cpu.run()
         assert cpu.engine_used == "compiled"
-        assert key in COMPILE_CACHE._plans
+        assert key in COMPILE_CACHE
         assert COMPILE_CACHE.compiles == before + 1
         # A second run on the same digest reuses the plan.
         Cpu(program, inputs=list(workload.inputs), config=config).run()

@@ -2,13 +2,9 @@
 
 import pytest
 
+from repro.cache import clear_caches
 from repro.cfg.builder import build_cfg
-from repro.dataflow import (
-    analyze_program,
-    clear_analysis_cache,
-    lint_program,
-    new_findings,
-)
+from repro.dataflow import analyze_program, lint_program, new_findings
 from repro.dataflow.liveness import analyze_liveness
 from repro.dataflow.reaching import INITIAL_PC, analyze_reaching_definitions
 from repro.isa.assembler import assemble
@@ -16,9 +12,9 @@ from repro.isa.assembler import assemble
 
 @pytest.fixture(autouse=True)
 def _fresh_cache():
-    clear_analysis_cache()
+    clear_caches()
     yield
-    clear_analysis_cache()
+    clear_caches()
 
 
 def _analyze(source):
@@ -219,7 +215,7 @@ class TestLintAndCache:
         first = analyze_program(program)
         again = analyze_program(assemble(COUNTED_LOOP))
         assert first is again
-        clear_analysis_cache()
+        clear_caches()
         assert analyze_program(program) is not first
 
     def test_policy_roundtrip_through_json(self):

@@ -2,13 +2,15 @@
 
 The decoded-instruction cache, the executor dispatch table and the streaming
 trace mode are pure performance work: they must not change a single observable
-bit.  These tests pin that down by comparing, for every seed workload, the
-cached/streamed execution against the uncached reference -- trace records,
-cycle accounting, outputs, and the attestation measurement ``(A, L)``.
+bit.  These tests pin that down by comparing, for every seed workload, a run
+on a cold decode cache against a warm rerun, and the streamed execution
+against the collected one -- trace records, cycle accounting, outputs, and
+the attestation measurement ``(A, L)``.
 """
 
 import pytest
 
+from repro.cache import DigestCache
 from repro.cpu.core import DECODE_CACHE, Cpu, CpuConfig
 from repro.cpu.trace import StreamingTrace, TraceNotRecordedError
 from repro.lofat.engine import attest_execution
@@ -17,10 +19,10 @@ from repro.workloads import all_workloads
 WORKLOAD_NAMES = [workload.name for workload in all_workloads()]
 
 
-def _run(program, inputs, **config_overrides):
+def _run(program, inputs):
     """A traced run: the per-instruction step loop is what decodes."""
     cpu = Cpu(program, inputs=list(inputs),
-              config=CpuConfig(collect_trace=True, **config_overrides))
+              config=CpuConfig(collect_trace=True))
     return cpu.run()
 
 
@@ -28,32 +30,32 @@ def _run(program, inputs, **config_overrides):
 def test_decode_cache_produces_identical_traces(name):
     workload = next(w for w in all_workloads() if w.name == name)
     program = workload.build()
-    cached = _run(program, workload.inputs, decoded_instruction_cache=True)
-    uncached = _run(program, workload.inputs, decoded_instruction_cache=False)
+    DECODE_CACHE.clear()
+    cold = _run(program, workload.inputs)
+    warm = _run(program, workload.inputs)
 
-    assert cached.output == uncached.output
-    assert cached.exit_code == uncached.exit_code
-    assert cached.instructions == uncached.instructions
-    assert cached.cycles == uncached.cycles
-    assert cached.registers == uncached.registers
-    assert len(cached.trace) == len(uncached.trace)
-    for lhs, rhs in zip(cached.trace, uncached.trace):
+    assert cold.output == warm.output
+    assert cold.exit_code == warm.exit_code
+    assert cold.instructions == warm.instructions
+    assert cold.cycles == warm.cycles
+    assert cold.registers == warm.registers
+    assert len(cold.trace) == len(warm.trace)
+    for lhs, rhs in zip(cold.trace, warm.trace):
         assert (lhs.pc, lhs.word, lhs.next_pc, lhs.cycle, lhs.kind, lhs.taken) \
             == (rhs.pc, rhs.word, rhs.next_pc, rhs.cycle, rhs.kind, rhs.taken)
 
 
 @pytest.mark.parametrize("name", WORKLOAD_NAMES)
-def test_measurements_identical_with_and_without_cache(name):
+def test_measurements_identical_cold_and_warm(name):
     workload = next(w for w in all_workloads() if w.name == name)
     program = workload.build()
-    _, cached = attest_execution(
-        program, inputs=list(workload.inputs),
-        cpu_config=CpuConfig(decoded_instruction_cache=True))
-    _, uncached = attest_execution(
-        program, inputs=list(workload.inputs),
-        cpu_config=CpuConfig(decoded_instruction_cache=False))
-    assert cached.measurement == uncached.measurement
-    assert cached.metadata.to_bytes() == uncached.metadata.to_bytes()
+    DECODE_CACHE.clear()
+    _, cold = attest_execution(
+        program, inputs=list(workload.inputs), collect_trace=True)
+    _, warm = attest_execution(
+        program, inputs=list(workload.inputs), collect_trace=True)
+    assert cold.measurement == warm.measurement
+    assert cold.metadata.to_bytes() == warm.metadata.to_bytes()
 
 
 @pytest.mark.parametrize("name", WORKLOAD_NAMES)
@@ -85,24 +87,28 @@ def test_streaming_trace_refuses_record_access():
         result.trace.executed_edges
 
 
+def _decoded(program):
+    return len(DECODE_CACHE.get_or_build(program.digest, dict))
+
+
 def test_decode_cache_is_shared_across_runs():
     workload = all_workloads()[0]
     program = workload.build()
     DECODE_CACHE.clear()
     _run(program, workload.inputs)
-    decoded_once = DECODE_CACHE.cached_instructions
+    decoded_once = _decoded(program)
     assert decoded_once > 0
     _run(program, workload.inputs)
     # The second run decoded nothing new.
-    assert DECODE_CACHE.cached_instructions == decoded_once
-    assert DECODE_CACHE.cached_programs == 1
+    assert _decoded(program) == decoded_once
+    assert len(DECODE_CACHE) == 1
 
 
 def test_decode_cache_bounded():
-    cache_type = type(DECODE_CACHE)
-    small = cache_type(max_programs=2)
+    small = DigestCache(budget=2)
     programs = [w.build() for w in all_workloads()[:3]]
     for program in programs:
-        table = small.table_for(program)
+        table = small.get_or_build(program.digest, dict)
         table[0] = (0, None)
-    assert small.cached_programs <= 2
+    assert len(small) == 2
+    assert programs[0].digest not in small

@@ -242,7 +242,7 @@ class TestParsedTraceMemo:
                                                         monkeypatch):
         blobs = _same_size_blobs(7)
         digests = [trace_digest(blob) for blob in blobs]
-        monkeypatch.setattr(memo, "max_bytes", 4 * len(blobs[0]))
+        monkeypatch.setattr(memo, "budget", 4 * len(blobs[0]))
         for blob in blobs[:4]:
             parsed_trace(blob)
         assert len(memo) == 4
@@ -252,11 +252,11 @@ class TestParsedTraceMemo:
             parsed_trace(blobs[position])
             assert {index for index, digest in enumerate(digests)
                     if digest in memo} == resident
-        assert memo.resident_bytes == 4 * len(blobs[0])
+        assert memo.resident_cost == 4 * len(blobs[0])
 
     def test_never_emptied_by_an_oversized_entry(self, memo, monkeypatch):
         blobs = _figure4_blobs(2)
-        monkeypatch.setattr(memo, "max_bytes", 1)
+        monkeypatch.setattr(memo, "budget", 1)
         for blob in blobs:
             trace = parsed_trace(blob)
             assert len(memo) == 1 and trace_digest(blob) in memo
@@ -265,7 +265,7 @@ class TestParsedTraceMemo:
     def test_clear_empties_it(self, memo):
         parsed_trace(_figure4_blobs(1)[0])
         memo.clear()
-        assert len(memo) == 0 and memo.resident_bytes == 0
+        assert len(memo) == 0 and memo.resident_cost == 0
 
     def test_concurrent_use_keeps_the_byte_count(self, memo, monkeypatch):
         """Threads hitting and evicting concurrently (the server replays on
@@ -275,7 +275,9 @@ class TestParsedTraceMemo:
 
         blobs = _same_size_blobs(6)
         size = len(blobs[0])
-        monkeypatch.setattr(memo, "max_bytes", 3 * size)
+        monkeypatch.setattr(memo, "budget", 3 * size)
+        calls, builds, evictions = (
+            memo.hits + memo.misses, memo.builds, memo.evictions)
         failures = []
 
         def hammer(offset):
@@ -299,7 +301,11 @@ class TestParsedTraceMemo:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
-        assert memo.resident_bytes == len(memo) * size <= 3 * size
+        assert memo.resident_cost == len(memo) * size <= 3 * size
+        # Counters are updated under the lock too: every call is counted
+        # once, and every built entry is either resident or evicted.
+        assert memo.hits + memo.misses - calls == 4 * 300
+        assert memo.builds - builds == len(memo) + memo.evictions - evictions
 
     def test_capture_campaign_parses_each_unique_trace_once(self, memo,
                                                             monkeypatch):
