@@ -26,6 +26,7 @@ from repro.service import (
     experiment_campaign,
     full_campaign,
 )
+from repro.service.worker import clear_replay_cache
 
 CPU_COUNT = multiprocessing.cpu_count()
 WORKERS = max(2, min(4, CPU_COUNT))
@@ -84,6 +85,9 @@ def test_e10_measurement_cache_speedup(benchmark, report_writer):
     database = MeasurementDatabase()
     runner = CampaignRunner(database=database)
 
+    # Cold references replay through the process's replay memo: start it
+    # empty, or the previous test's replays would serve them.
+    clear_replay_cache()
     cold = runner.run(spec)
     assert cold.ok
     cold_stats = database.stats()

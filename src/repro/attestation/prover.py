@@ -40,6 +40,8 @@ class ProverRunInfo:
     cycles: int = 0
     engine_stats: dict = field(default_factory=dict)
     scheme: str = "lofat"
+    exit_code: int = 0
+    output: str = ""
 
 
 class Prover:
@@ -129,6 +131,8 @@ class Prover:
             cycles=result.cycles,
             engine_stats=measurement.stats,
             scheme=scheme.name,
+            exit_code=result.exit_code,
+            output=result.output,
         )
 
         payload = measurement.measurement + measurement.metadata.to_bytes()

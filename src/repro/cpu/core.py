@@ -156,6 +156,10 @@ class Cpu:
         #: pc -> hooks fired just before the instruction at pc executes.
         self._pc_hooks: Dict[int, List[PcHook]] = {}
         self._setup_memory()
+        #: Code memory as loaded from the program image: a later
+        #: ``load_image`` into code makes :meth:`run` take ``Cpu.step``,
+        #: which decodes what memory holds, not the compiled plan.
+        self._image_generation = self.memory.code_generation
         self._setup_registers()
 
     # ----------------------------------------------------------- plumbing
@@ -231,13 +235,15 @@ class Cpu:
 
         Dispatches by :attr:`CpuConfig.engine`: the compiled engine
         (:meth:`run_compiled`) when every attached monitor supports batched
-        observation and no full trace is collected, else the per-instruction
-        :meth:`step` loop.  Both are architecturally identical.
+        observation, no full trace is collected and code memory still holds
+        the program image, else the per-instruction :meth:`step` loop.
+        Both are architecturally identical.
         """
         if (
             self.config.engine == "compiled"
             and not self.config.collect_trace
             and all(self._batch_monitors)
+            and self.memory.code_generation == self._image_generation
         ):
             # Lazy import: repro.cpu.compile imports this module.
             from repro.cpu.compile import COMPILE_CACHE

@@ -75,6 +75,11 @@ class Memory:
         self._fast: List[tuple] = []
         self._overflow: Dict[int, int] = {}
         self.enforce_protection = enforce_protection
+        #: Bumped by every :meth:`load_image` that writes an executable
+        #: region, so an engine that runs a plan compiled from the program
+        #: image can tell, once per run, that code memory no longer holds
+        #: that image.
+        self.code_generation = 0
 
     # ------------------------------------------------------------- regions
     def add_region(self, region: MemoryRegion) -> None:
@@ -178,6 +183,11 @@ class Memory:
         outside the software adversary's capabilities.
         """
         self.store_bytes(address, data, check=False)
+        end_address = address + len(data)
+        for base, end, _buffer, _r, _w, executable in self._fast:
+            if executable and address < end and base < end_address:
+                self.code_generation += 1
+                return
 
     # -------------------------------------------------------------- typed
     def fetch_word(self, address: int) -> int:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Dict
 
+from repro.cache import DigestCache
 from repro.lang.codegen import CompiledProgram, compile_source
 from repro.workloads.common import Workload, register_workload
 from repro.workloads.search import TABLE
@@ -128,16 +129,23 @@ def compile_port(name: str, verify: bool = False) -> CompiledProgram:
     return compile_source(source, name=name, verify=verify)
 
 
+#: Compiled assembly per (port name, source): ``get_workload`` builds a
+#: fresh :class:`Workload` on every call, and compiling the source was most
+#: of that cost.
+_PORT_ASSEMBLY = DigestCache(budget=16)
+
+
 def _port_workload(name: str) -> Workload:
     from repro.workloads.common import get_workload
 
-    original_name, _ = PORTS[name]
+    original_name, source = PORTS[name]
     original = get_workload(original_name)
-    compiled = compile_port(name)
+    assembly = _PORT_ASSEMBLY.get_or_build(
+        (name, source), lambda: compile_port(name).assembly)
     return Workload(
         name=name,
         description="%s (workload-language port)" % original.description,
-        source=compiled.assembly,
+        source=assembly,
         inputs=list(original.inputs),
         expected_output=original.expected_output,
         tags=["lang", "port"] + [t for t in original.tags

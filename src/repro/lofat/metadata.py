@@ -23,6 +23,32 @@ from repro.cache import DigestCache
 from repro.lofat.path_encoder import PathEncoding
 
 
+class MetadataLimitError(ValueError):
+    """A value does not fit its fixed-width field in the serialised ``L``.
+
+    Raised by the encoders instead of a bare ``OverflowError``, naming the
+    field and the value, so a prover can turn an execution whose ``L``
+    cannot be encoded into a named job result.
+    """
+
+    def __init__(self, field: str, value: int, limit: int) -> None:
+        super().__init__(
+            "loop metadata %s %d does not fit its field (limit %d)"
+            % (field, value, limit))
+        self.field = field
+        self.value = value
+        self.limit = limit
+
+
+def _check_fields(fields) -> None:
+    """Raise :class:`MetadataLimitError` for the first ``(field, value,
+    width in bytes)`` whose value is not an unsigned ``width``-byte int."""
+    for name, value, width in fields:
+        limit = (1 << (8 * width)) - 1
+        if not 0 <= value <= limit:
+            raise MetadataLimitError(name, value, limit)
+
+
 def _take(blob: bytes, offset: int, count: int) -> Tuple[bytes, int]:
     """Read ``count`` bytes or raise :class:`ValueError` on truncation."""
     block = blob[offset:offset + count]
@@ -46,11 +72,21 @@ class PathRecord:
     first_seen_index: int
 
     def to_bytes(self) -> bytes:
-        return (
-            self.encoding.to_bytes()
-            + self.iterations.to_bytes(4, "little")
-            + self.first_seen_index.to_bytes(2, "little")
-        )
+        try:
+            return (
+                self.encoding.to_bytes()
+                + self.iterations.to_bytes(4, "little")
+                + self.first_seen_index.to_bytes(2, "little")
+            )
+        except OverflowError:
+            encoding = self.encoding
+            _check_fields((
+                ("path width", encoding.width, 2),
+                ("indirect code count", len(encoding.indirect_codes), 1),
+                ("path iterations", self.iterations, 4),
+                ("first_seen_index", self.first_seen_index, 2),
+            ))
+            raise
 
     @classmethod
     def read_from(cls, blob: bytes, offset: int = 0) -> Tuple["PathRecord", int]:
@@ -95,20 +131,31 @@ class LoopRecord:
         return len(self.paths)
 
     def to_bytes(self) -> bytes:
-        blob = (
-            self.entry.to_bytes(4, "little")
-            + self.exit_node.to_bytes(4, "little")
-            + self.depth.to_bytes(1, "little")
-            + self.iterations.to_bytes(4, "little")
-            + self.exit_sequence.to_bytes(2, "little")
-            + len(self.paths).to_bytes(2, "little")
-        )
-        for path in self.paths:
-            blob += path.to_bytes()
-        blob += len(self.indirect_targets).to_bytes(1, "little")
-        for target in self.indirect_targets:
-            blob += (target & 0xFFFFFFFF).to_bytes(4, "little")
-        return blob
+        try:
+            parts = [
+                self.entry.to_bytes(4, "little"),
+                self.exit_node.to_bytes(4, "little"),
+                self.depth.to_bytes(1, "little"),
+                self.iterations.to_bytes(4, "little"),
+                self.exit_sequence.to_bytes(2, "little"),
+                len(self.paths).to_bytes(2, "little"),
+            ]
+            parts += [path.to_bytes() for path in self.paths]
+            parts.append(len(self.indirect_targets).to_bytes(1, "little"))
+            parts += [(target & 0xFFFFFFFF).to_bytes(4, "little")
+                      for target in self.indirect_targets]
+        except OverflowError:
+            _check_fields((
+                ("entry", self.entry, 4),
+                ("exit_node", self.exit_node, 4),
+                ("depth", self.depth, 1),
+                ("iterations", self.iterations, 4),
+                ("exit_sequence", self.exit_sequence, 2),
+                ("path count", len(self.paths), 2),
+                ("indirect-target count", len(self.indirect_targets), 1),
+            ))
+            raise
+        return b"".join(parts)
 
     @classmethod
     def read_from(cls, blob: bytes, offset: int = 0) -> Tuple["LoopRecord", int]:
@@ -149,11 +196,16 @@ class LoopMetadata:
         self.loops.append(record)
 
     def to_bytes(self) -> bytes:
-        """Deterministic serialisation (covered by the attestation signature)."""
-        blob = len(self.loops).to_bytes(2, "little")
-        for record in self.loops:
-            blob += record.to_bytes()
-        return blob
+        """Deterministic serialisation (covered by the attestation signature).
+
+        Raises :class:`MetadataLimitError` when a count or value does not
+        fit its field, the loop-record count (u16) included.
+        """
+        count = len(self.loops)
+        if count > 0xFFFF:
+            raise MetadataLimitError("loop record count", count, 0xFFFF)
+        return b"".join([count.to_bytes(2, "little")]
+                        + [record.to_bytes() for record in self.loops])
 
     @classmethod
     def read_from(cls, blob: bytes, offset: int = 0) -> Tuple["LoopMetadata", int]:

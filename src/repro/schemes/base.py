@@ -64,6 +64,9 @@ class VerdictReason(enum.Enum):
     METADATA_CFG_VIOLATION = "metadata_cfg_violation"
     POLICY_VIOLATION = "policy_violation"
     NO_REFERENCE = "no_reference_measurement"
+    #: The execution's loop metadata ``L`` (the report's, or the
+    #: reference's) does not fit its fixed-width encoding.
+    METADATA_LIMIT = "metadata_limit"
 
 
 @dataclass

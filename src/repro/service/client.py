@@ -134,6 +134,8 @@ class SimulatedProver:
                 device_id=self.device_id, cpu_config=self.cpu_config,
             )
             self.executed += 1
+        if response.report is None:
+            raise ValueError(response.failure)
         return response.report
 
 

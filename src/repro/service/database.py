@@ -34,6 +34,15 @@ a miss, :meth:`MeasurementDatabase.store` (both keys).  The runner runs it
 through ``lookup_or_compute``; the server splits it across its event loop
 and executor; golden replay is :func:`compute_reference` alone.
 
+Replays themselves have one home too: :func:`replay_capture`, a bounded
+per-process memo keyed by (scheme, trace digest, configuration digest).
+The prover's stage 2 (:func:`repro.service.worker.execute_attest_job`)
+and :func:`compute_reference` both replay through it, so in a sequential
+campaign a benign job's reference is the entry its own stage 2 left, and
+each (scheme, capture, configuration) is replayed once per process.  A
+job's reference still comes only from its *benign* capture: attacked
+captures have their own digests and stay separate entries.
+
 A third keyspace stores :class:`repro.dataflow.policy.StaticPolicy`
 artifacts keyed by program digest, so verifier processes loading a shared
 database also pick up the statically proven loop bounds and enforce them
@@ -65,8 +74,10 @@ from __future__ import annotations
 import json
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
+from repro.cache import DigestCache
 from repro.dataflow.policy import StaticPolicy
 from repro.isa.assembler import Program
+from repro.lofat.metadata import LazyLoopMetadata
 from repro.schemes import get_scheme
 from repro.service.fsutil import atomic_write_text
 
@@ -77,6 +88,51 @@ DatabaseKey = Tuple[str, str, Tuple[int, ...], str]
 TraceKey = Tuple[str, str, str]
 
 
+#: The one replay memo: ``(A, serialized L, LazyLoopMetadata, stats)`` keyed
+#: by (scheme, trace digest, config digest).  The prover's stage 2
+#: (:func:`repro.service.worker.execute_attest_job`) and every reference
+#: :func:`compute_reference` replays go through it, so one execution is
+#: replayed once per process however many reports and references need its
+#: measurement.  Caching the metadata object matters as much as caching the
+#: measurement: re-parsing ``L`` from bytes -- or re-serialising it for
+#: every report's ``to_bytes`` -- dominated the replay hot path.  The lazy
+#: form carries the serialised bytes for free and parses records only if a
+#: consumer iterates them; the object is shared across reports, which is
+#: safe because metadata is read-only once a session finalizes.  The budget
+#: holds a whole pass of a family-matrix campaign (426 distinct replays at
+#: seed 20170618).
+_REPLAY_CACHE = DigestCache(budget=1024)
+
+
+def replay_capture(
+    program: Program, capture, backend, config, config_digest: str
+) -> Tuple[tuple, bool]:
+    """Replay ``capture`` under the scheme ``backend`` once per process.
+
+    Returns the memo entry ``(A, serialized L, LazyLoopMetadata, stats)``
+    and whether this call ran the replay (False: served from the memo, or
+    from a concurrent caller's replay of the same key).
+    """
+    replayed = []
+
+    def replay():
+        replayed.append(True)
+        measured = backend.replay_measurement(
+            program, capture.trace(), config=config)
+        metadata_bytes = measured.metadata.to_bytes()
+        return (measured.measurement, metadata_bytes,
+                LazyLoopMetadata(metadata_bytes), measured.stats)
+
+    entry = _REPLAY_CACHE.get_or_build(
+        (backend.name, capture.trace_digest, config_digest), replay)
+    return entry, bool(replayed)
+
+
+def clear_replay_cache() -> None:
+    """Drop this process's replay memo (tests and benchmarks)."""
+    _REPLAY_CACHE.clear()
+
+
 def compute_reference(
     program: Program,
     inputs: Tuple[int, ...],
@@ -84,21 +140,26 @@ def compute_reference(
     config=None,
     capture=None,
     cpu_config=None,
+    config_digest: Optional[str] = None,
 ) -> Tuple[bytes, bytes]:
     """Measure the expected ``(A, serialized L)`` of one benign execution.
 
     Replays ``capture`` (the benign execution's
-    :class:`repro.service.tracestore.CapturedExecution`) when it is
-    replayable, else runs the scheme's ``reference_measurement``.  Touches
-    no shared state, so the server runs it on an executor thread.
+    :class:`repro.service.tracestore.CapturedExecution`) through
+    :func:`replay_capture` when it is replayable, else runs the scheme's
+    ``reference_measurement``.  ``config_digest`` is the key's digest of
+    ``config`` (hashed here when omitted).  Its only shared state is the
+    thread-safe replay memo, so the server runs it on an executor thread.
     """
     backend = get_scheme(scheme)
     if _replays(backend, capture):
-        measured = backend.replay_measurement(
-            program, capture.trace(), config=config)
-    else:
-        measured = backend.reference_measurement(
-            program, list(inputs), config=config, cpu_config=cpu_config)
+        if config_digest is None:
+            config_digest = backend.config_digest(config)
+        entry, _ = replay_capture(
+            program, capture, backend, config, config_digest)
+        return entry[0], entry[1]
+    measured = backend.reference_measurement(
+        program, list(inputs), config=config, cpu_config=cpu_config)
     return measured.measurement, measured.metadata.to_bytes()
 
 
@@ -430,7 +491,7 @@ class MeasurementDatabase:
         if entry is not None:
             return entry[0], entry[1], True
         entry = compute_reference(
-            program, inputs, scheme, config, capture, cpu_config)
+            program, inputs, scheme, config, capture, cpu_config, key[3])
         self._remember(key, capture, entry)
         return entry[0], entry[1], False
 

@@ -25,7 +25,14 @@ comparison):
   CPU in the loop -- and signs the result; reports are byte-identical to
   live execution (pinned by ``tests/test_trace_replay_equivalence.py``).
   Database-mode reference misses replay the stored *benign* capture too,
-  keyed in the measurement database by trace digest.
+  keyed in the measurement database by trace digest, through the same
+  per-process replay memo stage 2 fills
+  (:func:`repro.service.database.replay_capture`).
+
+A job whose loop metadata ``L`` does not fit its encoding -- the prover's
+report or the benign reference -- is rejected with reason
+``metadata_limit`` (:class:`repro.lofat.metadata.MetadataLimitError`);
+the rest of the campaign runs on.
 
 The decomposition mirrors the deployment the paper assumes: many independent
 prover devices execute in parallel (they share nothing but their program
@@ -48,7 +55,8 @@ from repro.attestation.crypto import SecureKeyStore
 from repro.attestation.verifier import Verifier
 from repro.cpu.core import CpuConfig
 from repro.isa.assembler import Program
-from repro.schemes import get_scheme
+from repro.lofat.metadata import MetadataLimitError
+from repro.schemes import VerdictReason, VerificationResult, get_scheme
 from repro.service.campaign import CampaignJob, CampaignSpec
 from repro.service.database import MeasurementDatabase
 from repro.service.tracestore import (
@@ -573,34 +581,44 @@ class CampaignRunner:
         cpu_config: Optional[CpuConfig] = None,
     ) -> JobResult:
         verifier = verifiers[(job.scheme, job.config_name)]
-        cache_hit: Optional[bool] = None
-        expected = None
-        if spec.verify_mode == "database":
-            capture = (reference_captures or {}).get(job.job_id)
-            measurement, metadata_bytes, cache_hit = self.database.lookup_or_compute(
-                programs[job.workload],
-                job.inputs,
-                job.scheme_config(),
-                cpu_config=cpu_config or self.cpu_config,
-                scheme=job.scheme,
-                capture=capture,
-                config_digest=job.scheme_config_digest(),
-            )
-            expected = (measurement, metadata_bytes)
-        verdict = verifier.verify(
-            response.report, device_id=self.device_id, mode=spec.verify_mode,
-            expected=expected,
-        )
         report = response.report
+        cache_hit: Optional[bool] = None
+        if report is None:
+            verdict = VerificationResult(
+                False, VerdictReason.METADATA_LIMIT, response.failure)
+        else:
+            try:
+                expected = None
+                if spec.verify_mode == "database":
+                    capture = (reference_captures or {}).get(job.job_id)
+                    measurement, metadata_bytes, cache_hit = \
+                        self.database.lookup_or_compute(
+                            programs[job.workload],
+                            job.inputs,
+                            job.scheme_config(),
+                            cpu_config=cpu_config or self.cpu_config,
+                            scheme=job.scheme,
+                            capture=capture,
+                            config_digest=job.scheme_config_digest(),
+                        )
+                    expected = (measurement, metadata_bytes)
+                verdict = verifier.verify(
+                    report, device_id=self.device_id, mode=spec.verify_mode,
+                    expected=expected,
+                )
+            except MetadataLimitError as error:
+                # The reference's ``L`` does not fit: fail closed.
+                verdict = VerificationResult(
+                    False, VerdictReason.METADATA_LIMIT, str(error))
         return JobResult(
             job=job,
             accepted=verdict.accepted,
             reason=verdict.reason.value,
             detail=verdict.detail,
-            measurement_hex=report.measurement.hex(),
-            metadata_hex=report.metadata.to_bytes().hex(),
-            output=report.output,
-            exit_code=report.exit_code,
+            measurement_hex=report.measurement.hex() if report else "",
+            metadata_hex=report.metadata.to_bytes().hex() if report else "",
+            output=response.output,
+            exit_code=response.exit_code,
             instructions=response.instructions,
             cycles=response.cycles,
             cache_hit=cache_hit,

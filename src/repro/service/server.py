@@ -376,7 +376,7 @@ class AttestationServer:
             program, inputs, config, scheme_name, cfg_digest)
         entry = await self.pool.reference(key, scheme_name, partial(
             compute_reference, program, inputs, scheme_name, config, capture,
-            self.cpu_config))
+            self.cpu_config, cfg_digest))
         self.database.store(
             program, inputs, config, entry[0], entry[1], scheme_name, capture,
             cfg_digest)

@@ -12,12 +12,18 @@ Since the capture-once / verify-many refactor the prover side is two stages:
 * :func:`execute_attest_job` -- **stage 2**: replay a stored trace through
   the job's scheme session (:meth:`AttestationScheme.replay_measurement`),
   sign the measurement and return the report -- byte-identical to live
-  execution, no simulation.  A bounded per-process replay cache (a
-  :class:`repro.cache.DigestCache` keyed by scheme, trace digest and
-  config digest) makes repeated (scheme, config, trace) replays
-  O(lookup); each response says whether its own replay hit, so the
-  campaign report can aggregate cache accounting across worker processes
-  instead of reporting only the parent's numbers.
+  execution, no simulation.  The replay goes through the process's one
+  replay memo (:func:`repro.service.database.replay_capture`, keyed by
+  scheme, trace digest and config digest), which the verifier's
+  references share: in a sequential campaign a benign job's reference is
+  the memo entry its own stage 2 left.  Each response says whether its
+  own replay hit, so the campaign report can aggregate cache accounting
+  across worker processes instead of reporting only the parent's numbers.
+
+An execution whose loop metadata ``L`` does not fit its encoding
+(:class:`repro.lofat.metadata.MetadataLimitError`) answers with no report
+and the error's message as ``failure``; the runner rejects that job with
+reason ``metadata_limit`` instead of ending the campaign.
 
 :func:`execute_prover_job` -- capture and attest fused in one call -- remains
 the single-stage path (the ``pipeline="live"`` baseline, and the fallback
@@ -32,7 +38,7 @@ derived in-worker from the device id, and
 
 Per-process caches keep repeated jobs cheap: assembled programs are reused
 across jobs (``maxsize`` bounded), the CPU's decoded-instruction cache is
-shared process-wide, and the replay cache dedupes stage-2 measurements.
+shared process-wide, and the replay memo dedupes replayed measurements.
 """
 
 from __future__ import annotations
@@ -46,14 +52,17 @@ from repro.attacks import get_attack
 from repro.attestation.crypto import SecureKeyStore, sign_report
 from repro.attestation.protocol import AttestationChallenge, AttestationReport
 from repro.attestation.prover import Prover
-from repro.cache import DigestCache
 from repro.cpu.core import Cpu, CpuConfig
 from repro.cpu.trace import ControlFlowTrace
 from repro.cpu.tracefile import dumps_trace, trace_digest
 from repro.isa.assembler import Program
-from repro.lofat.metadata import LazyLoopMetadata
+from repro.lofat.metadata import MetadataLimitError
 from repro.schemes import get_scheme
 from repro.service.campaign import CampaignJob
+# ``clear_replay_cache`` is re-exported: benchmarks clear the replay memo
+# through this module.
+from repro.service.database import clear_replay_cache as clear_replay_cache
+from repro.service.database import replay_capture
 from repro.service.tracestore import CapturedExecution, workload_build_signature
 from repro.workloads import get_workload
 
@@ -74,12 +83,17 @@ class ProverResponse:
     """What one prover execution sends back to the verifier service."""
 
     job_id: str
-    report: AttestationReport
+    #: The signed report, or None when the execution's ``L`` does not fit
+    #: its encoding (``failure`` says why).
+    report: Optional[AttestationReport]
     instructions: int
     cycles: int
     pairs_hashed: int
     control_flow_events: int
     prover_seconds: float
+    #: The execution's observable outputs (also carried by ``report``).
+    exit_code: int = 0
+    output: str = ""
     #: Stage-2 replay-cache accounting of this job in its worker process
     #: (both zero for live executions); the runner aggregates these across
     #: processes into the campaign's database statistics.
@@ -88,6 +102,9 @@ class ProverResponse:
     #: True when the report came from a stored-trace replay, False for a
     #: live CPU execution.
     replayed: bool = False
+    #: The :class:`MetadataLimitError` message when no report could be
+    #: encoded, else empty.
+    failure: str = ""
 
 
 @dataclass
@@ -130,26 +147,6 @@ def _keystore(device_id: str) -> SecureKeyStore:
     return SecureKeyStore(device_id=device_id)
 
 
-#: Per-process stage-2 replay cache: ``(A, serialized L, LazyLoopMetadata,
-#: stats)`` keyed by (scheme, trace digest, config digest).  A campaign with
-#: repeats -- or any two jobs sharing a trace under the same scheme and
-#: configuration -- replays once per process instead of once per job.
-#: Caching the metadata object matters as much as caching the measurement:
-#: re-parsing ``L`` from bytes -- or re-serialising it for every report's
-#: ``to_bytes`` -- dominated the replay hot path (it is the per-report cost
-#: of the remote attestation client).  The lazy form carries the serialised
-#: bytes for free and parses records only if a consumer iterates them; the
-#: object is shared across reports, which is safe because metadata is
-#: read-only once a session finalizes.  The budget holds a whole pass of a
-#: family-matrix campaign (426 distinct replays at seed 20170618).
-_REPLAY_CACHE = DigestCache(budget=1024)
-
-
-def clear_replay_cache() -> None:
-    """Drop this process's stage-2 replay cache (tests and benchmarks)."""
-    _REPLAY_CACHE.clear()
-
-
 def execute_prover_job(
     payload: ProverJobPayload,
     device_id: str = "prover-0",
@@ -182,7 +179,10 @@ def execute_prover_job(
         scheme=job.scheme,
     )
     started = time.perf_counter()
-    report = prover.attest(challenge)
+    try:
+        report, failure = prover.attest(challenge), ""
+    except MetadataLimitError as error:
+        report, failure = None, str(error)
     elapsed = time.perf_counter() - started
 
     run = prover.last_run
@@ -195,6 +195,9 @@ def execute_prover_job(
         pairs_hashed=int(stats.get("pairs_hashed", 0)),
         control_flow_events=int(stats.get("control_flow_events", 0)),
         prover_seconds=elapsed,
+        exit_code=run.exit_code if run else 0,
+        output=run.output if run else "",
+        failure=failure,
     )
 
 
@@ -247,7 +250,7 @@ def execute_attest_job(
     """Stage 2: attest one job from its stored capture -- no CPU in the loop.
 
     Replays the capture's control-flow trace through the job's scheme
-    session (or serves the measurement from the per-process replay cache),
+    session (or serves the measurement from the process's replay memo),
     signs ``A || L`` with the in-process device key against the job's nonce,
     and rebuilds the report with the captured execution outputs.  The result
     is byte-identical to :func:`execute_prover_job` on the same execution.
@@ -258,40 +261,29 @@ def execute_attest_job(
     """
     job, nonce, capture = payload
     if capture is None or not capture.replayable:
-        response = execute_prover_job((job, nonce), device_id, cpu_config)
-        return response
+        return execute_prover_job((job, nonce), device_id, cpu_config)
 
     started = time.perf_counter()
-    program = _assembled_program(job.workload)
     scheme = get_scheme(job.scheme)
-    config = job.scheme_config()
-    config_digest = job.scheme_config_digest()
-    replayed = []
-
-    def replay():
-        replayed.append(True)
-        measured = scheme.replay_measurement(
-            program, capture.trace(), config=config)
-        metadata_bytes = measured.metadata.to_bytes()
-        return (measured.measurement, metadata_bytes,
-                LazyLoopMetadata(metadata_bytes), measured.stats)
-
-    measurement_bytes, metadata_bytes, metadata, stats = \
-        _REPLAY_CACHE.get_or_build(
-            (job.scheme, capture.trace_digest, config_digest), replay)
-
-    signature = sign_report(
-        measurement_bytes + metadata_bytes, nonce, _keystore(device_id))
-    report = AttestationReport(
-        program_id=job.workload,
-        measurement=measurement_bytes,
-        metadata=metadata,
-        nonce=nonce,
-        signature=signature,
-        exit_code=capture.exit_code,
-        output=capture.output,
-        scheme=scheme.name,
-    )
+    report, failure, stats = None, "", {}
+    try:
+        (measurement_bytes, metadata_bytes, metadata, stats), replayed = \
+            replay_capture(_assembled_program(job.workload), capture, scheme,
+                           job.scheme_config(), job.scheme_config_digest())
+    except MetadataLimitError as error:
+        replayed, failure = True, str(error)
+    else:
+        report = AttestationReport(
+            program_id=job.workload,
+            measurement=measurement_bytes,
+            metadata=metadata,
+            nonce=nonce,
+            signature=sign_report(measurement_bytes + metadata_bytes, nonce,
+                                  _keystore(device_id)),
+            exit_code=capture.exit_code,
+            output=capture.output,
+            scheme=scheme.name,
+        )
     elapsed = time.perf_counter() - started
     return ProverResponse(
         job_id=job.job_id,
@@ -301,7 +293,10 @@ def execute_attest_job(
         pairs_hashed=int(stats.get("pairs_hashed", 0)),
         control_flow_events=int(stats.get("control_flow_events", 0)),
         prover_seconds=elapsed,
+        exit_code=capture.exit_code,
+        output=capture.output,
         replay_cache_hits=0 if replayed else 1,
         replay_cache_misses=1 if replayed else 0,
         replayed=True,
+        failure=failure,
     )

@@ -299,12 +299,13 @@ class TestControlFlow:
         """)
         # Overwrite the nop with an undecodable word at load time.
         program = assemble("_start:\n    nop")
-        # The step loop fetches from memory; a compiled plan is built from
-        # the program image, which the overwrite does not change.
-        cpu = Cpu(program, config=CpuConfig(engine="legacy"))
+        # The default engine sees the rewritten code region and runs the
+        # step loop, which decodes the word memory now holds.
+        cpu = Cpu(program)
         cpu.memory.load_image(0, b"\xff\xff\xff\xff")
         with pytest.raises(IllegalInstructionError):
             cpu.run()
+        assert cpu.engine_used == "legacy"
 
 
 class TestCycleModel:

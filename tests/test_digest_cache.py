@@ -5,7 +5,7 @@ tests of the individual caches (``test_compiled_engine.py``,
 ``test_trace_store.py``, ``test_decode_cache_regression.py``) do not: waiters
 released by a failed build, a clear racing a build, the counters and the
 registry.  Then pins the three names ``perfbench`` reaches into, and the
-bound on the prover's stage-2 replay memo.
+bound on the replay memo that stage 2 and the references share.
 """
 
 import gc
@@ -20,7 +20,7 @@ from repro.cpu.compile import COMPILE_CACHE
 from repro.cpu.core import Cpu, CpuConfig
 from repro.cpu.tracefile import trace_digest
 from repro.dataflow import analyze_program
-from repro.service import tracestore, worker
+from repro.service import database, tracestore
 from repro.service.campaign import CampaignJob
 from repro.service.tracestore import CapturedExecution, parsed_trace
 from repro.service.worker import (
@@ -203,11 +203,11 @@ class TestBenchmarkNames:
         analysis = analyze_program(program)
         capture = _capture(_same_size_blobs(1)[0])
         execute_attest_job((_job(), b"\x01" * 32, capture))
-        assert len(worker._REPLAY_CACHE) >= 1
+        assert len(database._REPLAY_CACHE) >= 1
 
         compiles = COMPILE_CACHE.compiles
         clear_replay_cache()
-        assert len(worker._REPLAY_CACHE) == 0
+        assert len(database._REPLAY_CACHE) == 0
         assert COMPILE_CACHE.plan_for(program, config) is plan
         assert analyze_program(program) is analysis
         assert COMPILE_CACHE.compiles == compiles
@@ -238,7 +238,7 @@ class TestReplayMemoBound:
     def test_replaying_past_the_budget_stays_bounded(self):
         """A long-lived prover replaying ever new traces keeps at most the
         budget resident, and every response reports its own hit or miss."""
-        cache = worker._REPLAY_CACHE
+        cache = database._REPLAY_CACHE
         blobs = _same_size_blobs(cache.budget + 8)
         job = _job()
         for index, blob in enumerate(blobs):

@@ -317,3 +317,74 @@ class TestWorkerProgramCache:
             assert second.digest != first.digest
         finally:
             WORKLOAD_REGISTRY.pop(name, None)
+
+
+#: 70,000 outer iterations of a two-iteration inner loop: 70,001 loop
+#: records, one more than the u16 record count of ``L`` can hold.
+LOOP_NEST_SOURCE = """
+_start:
+    li   s0, 70000
+    li   s1, 0
+outer:
+    bge  s1, s0, done
+    li   t0, 0
+    li   t1, 2
+inner:
+    bge  t0, t1, inner_done
+    addi t0, t0, 1
+    j    inner
+inner_done:
+    addi s1, s1, 1
+    j    outer
+done:
+    li   a0, 0
+    li   a7, 93
+    ecall
+"""
+
+
+class TestMetadataLimit:
+    @pytest.fixture
+    def loop_nest(self):
+        from repro.workloads import WORKLOAD_REGISTRY
+        from repro.workloads.common import Workload
+
+        name = "_loop_nest_70000x2"
+        WORKLOAD_REGISTRY[name] = lambda: Workload(
+            name=name, description="L overflow probe", source=LOOP_NEST_SOURCE)
+        yield name
+        WORKLOAD_REGISTRY.pop(name, None)
+
+    def test_overflowing_metadata_is_a_named_job_result(self, loop_nest):
+        """The job whose ``L`` cannot be encoded is rejected with reason
+        ``metadata_limit``; the campaign finishes, identically on both
+        pipelines and across worker processes."""
+        spec = CampaignSpec(
+            name="nest",
+            workloads=[WorkloadSelection(loop_nest),
+                       WorkloadSelection("figure4_loop")],
+        )
+        captured = CampaignRunner().run(spec, workers=2)
+        live = CampaignRunner().run(spec, pipeline="live")
+        assert captured.identities() == live.identities()
+        nest, benign = captured.results
+        assert (nest.accepted, nest.reason) == (False, "metadata_limit")
+        assert "loop record count 70001" in nest.detail
+        assert (nest.measurement_hex, nest.metadata_hex) == ("", "")
+        assert (nest.exit_code, nest.instructions) == (0, 840_007)
+        assert benign.accepted and not captured.ok
+
+    def test_unencodable_reference_is_a_named_job_result(self, small_spec,
+                                                         monkeypatch):
+        """A report that fits but whose benign reference's ``L`` does not
+        is rejected with the same reason, not raised out of the run."""
+        from repro.lofat.metadata import MetadataLimitError
+
+        def overflow(*args, **kwargs):
+            raise MetadataLimitError("loop record count", 70_001, 0xFFFF)
+
+        monkeypatch.setattr(MeasurementDatabase, "lookup_or_compute", overflow)
+        result = CampaignRunner().run(small_spec)
+        assert {(r.reason, r.cache_hit) for r in result.results} == {
+            ("metadata_limit", None)}
+        assert all(r.measurement_hex for r in result.results)
