@@ -22,8 +22,8 @@ from repro.analysis.report import format_table
 from repro.attestation import Prover, Verifier
 from repro.attestation.crypto import sign_report
 from repro.attestation.protocol import AttestationReport
-from repro.attestation.verifier import VerdictReason
 from repro.dataflow import analyze_program
+from repro.schemes import VerdictReason
 from repro.workloads import get_workload
 
 WORKLOAD = "crc32"

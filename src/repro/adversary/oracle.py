@@ -141,11 +141,10 @@ def _verify_scenario(
     program_id: str,
     inputs: Sequence[int],
     scheme: str,
-    mode: str,
 ):
     challenge = verifier.challenge(program_id, inputs, scheme=scheme)
     report = prover.attest(challenge)
-    return verifier.verify(report, device_id=prover.device_id, mode=mode)
+    return verifier.verify(report, device_id=prover.device_id)
 
 
 def run_oracle(
@@ -153,11 +152,11 @@ def run_oracle(
     seed: Optional[int] = None,
     schemes: Sequence[str] = DEFAULT_SCHEMES,
     limits: Optional[GeneratorLimits] = None,
-    mode: str = "replay",
     suites: Optional[Dict[str, GeneratedSuite]] = None,
 ) -> OracleReport:
     """Generate suites and drive every scenario through every scheme.
 
+    Every report is verified against the verifier's golden replay.
     ``suites`` lets a caller reuse already-generated suites (the tests
     generate once and share); otherwise suites are generated here from
     ``seed``.
@@ -188,7 +187,7 @@ def run_oracle(
             for variant in suite.benign:
                 verdict = _verify_scenario(
                     verifier, prover, workload_name, variant.inputs,
-                    scheme_name, mode,
+                    scheme_name,
                 )
                 report.entries.append(
                     MatrixEntry(
@@ -209,7 +208,7 @@ def run_oracle(
                 try:
                     verdict = _verify_scenario(
                         verifier, prover, workload_name,
-                        scenario.challenge_inputs, scheme_name, mode,
+                        scenario.challenge_inputs, scheme_name,
                     )
                 finally:
                     prover.clear_attacks()

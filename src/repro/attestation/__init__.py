@@ -15,16 +15,17 @@ reports carry a ``scheme`` field, and prover/verifier resolve the backend
   over a socket (see :mod:`repro.service.server` and ``docs/SERVER.md``).
 * :mod:`repro.attestation.prover` -- the prover device: executes the program
   under the challenged scheme and produces the signed report.
-* :mod:`repro.attestation.verifier` -- the verifier: nonce management,
-  signature checking, scheme-mismatch rejection, and path validation
-  (golden replay, measurement database and structural CFG checks).
+* :mod:`repro.attestation.verifier` -- the verifier: admission (nonce,
+  bindings, signature), the structure and policy screen, then the
+  comparison against a caller-supplied reference or a golden replay.
 """
 
 from repro.attestation.crypto import SecureKeyStore, sign_report, verify_signature
 from repro.attestation.framing import FrameType, FramingError, PROTOCOL_VERSIONS
 from repro.attestation.protocol import AttestationChallenge, AttestationReport
 from repro.attestation.prover import Prover
-from repro.attestation.verifier import VerificationResult, Verifier, VerdictReason
+from repro.attestation.verifier import Verifier
+from repro.schemes import VerdictReason, VerificationResult
 
 __all__ = [
     "FrameType",

@@ -11,36 +11,29 @@ Per the protocol (paper §3), the verifier:
 4. checks that the reported path ``P = (A, L)`` corresponds to a valid
    execution of the program's CFG under input ``i``.
 
-Step 4 is implemented in three complementary modes:
+Steps 3 and 4 run as one fixed sequence, owned by :class:`Verifier`:
 
-* **Golden replay** (the default): the verifier, who owns the program binary
-  and chose the input, re-measures the program through the challenged
-  scheme's own :meth:`reference_measurement` (through
-  :func:`repro.service.database.compute_reference`, the one reference
-  computation the service's database misses also run) and compares the
-  resulting ``(A, L)``.  This is the strongest check and mirrors how C-FLAT/LO-FAT
-  verifiers are evaluated in practice (known-input attestation).
-* **Measurement database**: the caller passes the expected ``(A,
-  serialized L)`` it looked up (or computed) in the digest-keyed
-  :class:`repro.service.MeasurementDatabase`, and the verifier compares
-  against it; useful when the verifier wants O(1) verification cost
-  online.  The verifier keeps no references of its own, so a reference is
-  always bound to the program binary, input, scheme and configuration it
-  was computed for; without one the report is rejected as
-  ``NO_REFERENCE``.
-* **Structural CFG checks**: independent of the input, the metadata ``L`` is
-  validated against the static CFG (every reported loop entry must be the
-  target of a backward edge; path encodings must be consistent with the loop
-  body).  These checks catch malformed metadata and are also applied in the
-  two modes above; schemes without loop metadata pass them trivially.
+* **Admission** -- the program is registered, the nonce is outstanding
+  (else ``UNKNOWN_NONCE``/``NONCE_REUSED``), the report answers for the
+  challenged program and scheme, and the device signature verifies.  The
+  nonce is consumed here, whatever the later steps decide.
+* **Screen** -- the metadata ``L`` is validated against the static CFG
+  (every reported loop entry must be the target of a backward edge; path
+  counts must add up to the iteration count), and an installed
+  :class:`repro.dataflow.policy.StaticPolicy` rejects loop records that
+  contradict statically *proven* facts with ``POLICY_VIOLATION``.  Schemes
+  without loop metadata pass vacuously.  Verdicts are memoised per distinct
+  ``L``, and a report that fails here costs no reference.
+* **Comparison** -- the report's ``(A, serialized L)`` against a reference
+  the caller supplies (a :class:`repro.service.MeasurementDatabase` entry,
+  say).  Without one, the verifier runs a golden replay: it owns the
+  program binary and chose the input, so it re-measures the program
+  through the challenged scheme's own :meth:`reference_measurement`.
 
-On top of the structural checks, an installed :class:`repro.dataflow.policy.
-StaticPolicy` pre-screens reports against statically *proven* facts: a loop
-record naming an entry outside the proven loop forest, or an iteration count
-outside the proven trip-count interval, is rejected with
-``POLICY_VIOLATION`` before any simulation or replay is spent on the report.
-The offline analysis itself is shared with every other static consumer
-through :func:`repro.dataflow.analyze_program`.
+:meth:`Verifier.screen` runs the first two steps and :meth:`Verifier.compare`
+the third, so a caller can fetch its reference in between (the server awaits
+it); :meth:`Verifier.verify` runs all three.  The offline analysis is shared
+with every other static consumer through :func:`repro.dataflow.analyze_program`.
 """
 
 from __future__ import annotations
@@ -55,9 +48,8 @@ from repro.dataflow.policy import StaticPolicy
 from repro.dataflow.program import ProgramAnalysis, analyze_program
 from repro.isa.assembler import Program
 from repro.lofat.metadata import LoopMetadata
-from repro.schemes import get_scheme
-# Re-exported for backward compatibility: these historically lived here.
-from repro.schemes.base import VerdictReason, VerificationResult  # noqa: F401
+from repro.schemes import VerdictReason, VerificationResult, get_scheme
+
 
 class Verifier:
     """The remote verifier V (scheme-agnostic)."""
@@ -80,7 +72,7 @@ class Verifier:
         #: metadata repeats and attack metadata is mostly distinct, so a
         #: flood of distinct L values evicts the least recently seen.
         self._structural_cache = DigestCache(budget=4096)
-        #: Per-program StaticPolicy artifacts enforced before replay/lookup.
+        #: Per-program StaticPolicy artifacts the screen enforces.
         self._policies: Dict[str, StaticPolicy] = {}
 
     # ------------------------------------------------------- provisioning
@@ -190,9 +182,9 @@ class Verifier:
     ) -> Optional[AttestationChallenge]:
         """The challenge an unanswered ``nonce`` belongs to, or None.
 
-        The attestation server uses this to find what a report answers for
-        (and thus which reference to warm) without reaching into the nonce
-        table; it does not consume the nonce.
+        The attestation server uses this to tell whether a verdict consumed
+        a report's nonce without reaching into the nonce table; it does not
+        consume the nonce.
         """
         return self._outstanding_nonces.get(nonce)
 
@@ -215,20 +207,26 @@ class Verifier:
         self,
         report: AttestationReport,
         device_id: str = "prover-0",
-        mode: str = "replay",
         expected: Optional[Tuple[bytes, bytes]] = None,
     ) -> VerificationResult:
-        """Check an attestation report.
+        """Check a report: :meth:`screen`, then :meth:`compare` against
+        ``expected`` (None: a golden replay)."""
+        verdict, challenge = self.screen(report, device_id)
+        if not verdict.accepted:
+            return verdict
+        return self.compare(report, challenge, expected)
 
-        ``mode`` selects how the measurement itself is validated:
-        ``"replay"`` (golden replay), ``"database"`` (compare against the
-        caller's ``expected`` ``(A, serialized L)``, typically a
-        :class:`repro.service.MeasurementDatabase` entry for the challenged
-        program, input, scheme and configuration; None rejects the report
-        as ``NO_REFERENCE``) or ``"structural"`` (CFG checks only).
+    def screen(
+        self, report: AttestationReport, device_id: str = "prover-0"
+    ) -> Tuple[VerificationResult, Optional[AttestationChallenge]]:
+        """Admission, then the structure/policy screen.
+
+        Returns the verdict so far and, when the report passed, the
+        challenge it answers.  A validly signed report consumes its nonce,
+        whatever the screen decides.
         """
         if report.program_id not in self._programs:
-            return VerificationResult(False, VerdictReason.UNKNOWN_PROGRAM)
+            return VerificationResult(False, VerdictReason.UNKNOWN_PROGRAM), None
 
         challenge = self._outstanding_nonces.get(report.nonce)
         if challenge is None:
@@ -237,7 +235,7 @@ class Verifier:
                 if report.nonce in self._used_nonces
                 else VerdictReason.UNKNOWN_NONCE
             )
-            return VerificationResult(False, reason)
+            return VerificationResult(False, reason), None
 
         # Fail closed on binding disagreements before any measurement
         # comparison: the report must answer for the challenged program (the
@@ -250,26 +248,26 @@ class Verifier:
                 False, VerdictReason.PROGRAM_MISMATCH,
                 "challenged program %r but report answers for %r"
                 % (challenge.program_id, report.program_id),
-            )
+            ), None
         if report.scheme != challenge.scheme:
             return VerificationResult(
                 False, VerdictReason.SCHEME_MISMATCH,
                 "challenged scheme %r but report carries %r"
                 % (challenge.scheme, report.scheme),
-            )
+            ), None
         try:
-            scheme = get_scheme(report.scheme)
+            get_scheme(report.scheme)
         except KeyError:
             return VerificationResult(
                 False, VerdictReason.SCHEME_MISMATCH,
                 "report names unknown scheme %r" % report.scheme,
-            )
+            ), None
 
         key = self._verification_keys.get(device_id)
         if key is None or not verify_signature(
             report.payload, report.nonce, report.signature, key
         ):
-            return VerificationResult(False, VerdictReason.BAD_SIGNATURE)
+            return VerificationResult(False, VerdictReason.BAD_SIGNATURE), None
 
         # The nonce is consumed whether or not the path checks pass: replaying
         # the same report later must be rejected as stale.
@@ -282,27 +280,28 @@ class Verifier:
             cache_key, lambda: self._check_metadata_structure(
                 report.program_id, report.metadata,
                 self.scheme_config(report.scheme)))
-        if not structural.accepted:
-            return structural
+        return structural, challenge if structural.accepted else None
 
-        if mode == "structural":
-            return VerificationResult(True, VerdictReason.ACCEPTED,
-                                      "structural checks only")
-        if mode == "database":
-            if expected is None:
-                return VerificationResult(False, VerdictReason.NO_REFERENCE)
-            return scheme.verify(report, expected)
-
-        # Golden replay: the same reference computation a database miss
-        # runs, uncached.  Imported here because repro.service imports this
-        # module.
-        from repro.service.database import compute_reference
-
-        return scheme.verify(report, compute_reference(
-            self._programs[report.program_id].program, challenge.inputs,
-            report.scheme, self.scheme_config(report.scheme),
-            cpu_config=self.cpu_config,
-        ))
+    def compare(
+        self,
+        report: AttestationReport,
+        challenge: AttestationChallenge,
+        expected: Optional[Tuple[bytes, bytes]] = None,
+    ) -> VerificationResult:
+        """Judge a screened ``report`` against the caller's reference
+        ``(A, serialized L)``, or, with None, against a golden replay of
+        ``challenge`` (which raises :class:`MetadataLimitError` when the
+        reference's ``L`` does not fit its encoding)."""
+        scheme = get_scheme(report.scheme)
+        if expected is None:
+            reference = scheme.reference_measurement(
+                self._programs[report.program_id].program,
+                list(challenge.inputs),
+                config=self.scheme_config(report.scheme),
+                cpu_config=self.cpu_config,
+            )
+            expected = (reference.measurement, reference.metadata.to_bytes())
+        return scheme.verify(report, expected)
 
     # -------------------------------------------------------------- internals
     def _check_metadata_structure(

@@ -24,8 +24,7 @@ The contract (see ``docs/SCHEMES.md`` for the how-to-add-a-backend guide):
   execution (the E1/E11 overhead comparisons).
 
 Verdict types (:class:`VerdictReason`, :class:`VerificationResult`) live here
-so schemes can return them without importing the verifier; the historical
-import path ``repro.attestation.verifier`` re-exports both.
+so schemes can return them without importing the verifier.
 """
 
 from __future__ import annotations
@@ -63,7 +62,6 @@ class VerdictReason(enum.Enum):
     METADATA_MISMATCH = "metadata_mismatch"
     METADATA_CFG_VIOLATION = "metadata_cfg_violation"
     POLICY_VIOLATION = "policy_violation"
-    NO_REFERENCE = "no_reference_measurement"
     #: The execution's loop metadata ``L`` (the report's, or the
     #: reference's) does not fit its fixed-width encoding.
     METADATA_LIMIT = "metadata_limit"

@@ -188,9 +188,10 @@ class CampaignSpec:
     attacks: List[str] = field(default_factory=list)
     include_benign: bool = True
     repeats: int = 1
-    #: How the verifier validates measurements: "database" (measurement
-    #: database backed, O(lookup) on repeats), "replay" (golden replay every
-    #: time) or "structural" (CFG checks only).
+    #: The reference a screened report is compared against: "database"
+    #: (measurement database lookup-or-compute, O(lookup) on repeats),
+    #: "replay" (the verifier's golden replay every time) or "structural"
+    #: (none: admission and the structure/policy screen only).
     verify_mode: str = "database"
     #: Attestation schemes to sweep; every job population is repeated once
     #: per scheme.

@@ -27,12 +27,12 @@ serialises to the same bytes -- whatever workload/input signature it was
 captured under -- reuses the measurement without another replay.  Both
 keyspaces persist.
 
-Every verifier-side reference follows one sequence owned here:
-:meth:`MeasurementDatabase.lookup` (primary key, then the benign capture's
-trace key; one hit or one miss per request), :func:`compute_reference` on
-a miss, :meth:`MeasurementDatabase.store` (both keys).  The runner runs it
-through ``lookup_or_compute``; the server splits it across its event loop
-and executor; golden replay is :func:`compute_reference` alone.
+Every reference the runner and the server supply to the verifier follows
+one sequence owned here: :meth:`MeasurementDatabase.lookup` (primary key,
+then the benign capture's trace key; one hit or one miss per request),
+:func:`compute_reference` on a miss, :meth:`MeasurementDatabase.store`
+(both keys).  The runner runs it through ``lookup_or_compute``; the server
+splits it across its event loop and executor.
 
 Replays themselves have one home too: :func:`replay_capture`, a bounded
 per-process memo keyed by (scheme, trace digest, configuration digest).

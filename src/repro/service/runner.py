@@ -91,7 +91,8 @@ class JobResult:
     instructions: int
     cycles: int
     #: Whether the reference measurement came from the database (None when
-    #: the verify mode does not consult it).
+    #: the verify mode does not consult it, or the report was rejected
+    #: before its reference was needed).
     cache_hit: Optional[bool]
     prover_seconds: float
     #: Whether the report was produced by replaying a stored trace (False
@@ -587,29 +588,31 @@ class CampaignRunner:
             verdict = VerificationResult(
                 False, VerdictReason.METADATA_LIMIT, response.failure)
         else:
-            try:
-                expected = None
-                if spec.verify_mode == "database":
-                    capture = (reference_captures or {}).get(job.job_id)
-                    measurement, metadata_bytes, cache_hit = \
-                        self.database.lookup_or_compute(
-                            programs[job.workload],
-                            job.inputs,
-                            job.scheme_config(),
-                            cpu_config=cpu_config or self.cpu_config,
-                            scheme=job.scheme,
-                            capture=capture,
-                            config_digest=job.scheme_config_digest(),
-                        )
-                    expected = (measurement, metadata_bytes)
-                verdict = verifier.verify(
-                    report, device_id=self.device_id, mode=spec.verify_mode,
-                    expected=expected,
-                )
-            except MetadataLimitError as error:
-                # The reference's ``L`` does not fit: fail closed.
+            verdict, challenge = verifier.screen(report, self.device_id)
+            if verdict.accepted and spec.verify_mode == "structural":
                 verdict = VerificationResult(
-                    False, VerdictReason.METADATA_LIMIT, str(error))
+                    True, VerdictReason.ACCEPTED, "structural checks only")
+            elif verdict.accepted:
+                try:
+                    expected = None  # "replay": the verifier's golden replay
+                    if spec.verify_mode == "database":
+                        measurement, metadata_bytes, cache_hit = \
+                            self.database.lookup_or_compute(
+                                programs[job.workload],
+                                job.inputs,
+                                job.scheme_config(),
+                                cpu_config=cpu_config or self.cpu_config,
+                                scheme=job.scheme,
+                                capture=(reference_captures or {}).get(
+                                    job.job_id),
+                                config_digest=job.scheme_config_digest(),
+                            )
+                        expected = (measurement, metadata_bytes)
+                    verdict = verifier.compare(report, challenge, expected)
+                except MetadataLimitError as error:
+                    # The reference's ``L`` does not fit: fail closed.
+                    verdict = VerificationResult(
+                        False, VerdictReason.METADATA_LIMIT, str(error))
         return JobResult(
             job=job,
             accepted=verdict.accepted,

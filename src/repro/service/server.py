@@ -49,11 +49,12 @@ from repro.attestation.framing import (
     read_frame,
     write_frame,
 )
-from repro.attestation.crypto import SecureKeyStore, verify_signature
+from repro.attestation.crypto import SecureKeyStore
 from repro.attestation.protocol import AttestationReport
 from repro.attestation.verifier import Verifier
 from repro.cpu.core import CpuConfig
-from repro.schemes import get_scheme
+from repro.lofat.metadata import MetadataLimitError
+from repro.schemes import VerdictReason, VerificationResult, get_scheme
 from repro.schemes.registry import (
     SCHEME_REGISTRY,
     SchemeNotFoundError,
@@ -383,35 +384,23 @@ class AttestationServer:
         return entry
 
     async def _verify_report(self, report: AttestationReport, device_id: str):
-        """Verify one report against its reference in the shared database.
+        """Screen the report, then compare it against its reference.
 
-        The expensive part -- computing a cold reference -- only runs for a
-        report that is *bound to an outstanding challenge and carries a
-        valid device signature*.  Anything else (garbage signatures, stale
-        nonces, mismatched tags) reaches the verifier's fail-closed checks
-        without costing a simulation or a database entry, so a hostile
-        client cannot drive unbounded reference computation.
+        Only a report that passed admission and the screen costs a database
+        lookup (and, on a miss, a reference computation), so a hostile
+        client cannot drive unbounded reference computation.  A reference
+        whose ``L`` does not fit is rejected as the campaign runner does.
         """
-        expected = None
-        challenge = self.verifier.outstanding_challenge(report.nonce)
-        if (
-            challenge is not None
-            and challenge.scheme == report.scheme
-            and challenge.program_id == report.program_id
-            and verify_signature(
-                report.payload, report.nonce, report.signature,
-                SecureKeyStore(device_id=device_id).export_for_verifier(),
-            )
-        ):
-            try:
-                expected = await self._expected_measurement(
-                    challenge.scheme, challenge.program_id,
-                    tuple(challenge.inputs),
-                )
-            except SchemeNotFoundError:
-                pass
-        return self.verifier.verify(
-            report, device_id=device_id, mode="database", expected=expected)
+        verdict, challenge = self.verifier.screen(report, device_id)
+        if not verdict.accepted:
+            return verdict
+        try:
+            expected = await self._expected_measurement(
+                challenge.scheme, challenge.program_id, challenge.inputs)
+        except MetadataLimitError as error:
+            return VerificationResult(
+                False, VerdictReason.METADATA_LIMIT, str(error))
+        return self.verifier.compare(report, challenge, expected)
 
     # ------------------------------------------------------------ connection
     async def _handle_connection(

@@ -36,19 +36,19 @@ The hardware-protected signing key never crosses the process boundary (it is
 derived in-worker from the device id, and
 :class:`repro.attestation.crypto.SecureKeyStore` refuses to pickle).
 
-Per-process caches keep repeated jobs cheap: assembled programs are reused
-across jobs (``maxsize`` bounded), the CPU's decoded-instruction cache is
-shared process-wide, and the replay memo dedupes replayed measurements.
+Per-process :class:`repro.cache.DigestCache` instances keep repeated jobs
+cheap: programs assemble once per registration, device keys derive once per
+device, and the replay memo dedupes replayed measurements.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Optional, Tuple
 
 from repro.attacks import get_attack
+from repro.cache import DigestCache
 from repro.attestation.crypto import SecureKeyStore, sign_report
 from repro.attestation.protocol import AttestationChallenge, AttestationReport
 from repro.attestation.prover import Prover
@@ -63,8 +63,8 @@ from repro.service.campaign import CampaignJob
 # through this module.
 from repro.service.database import clear_replay_cache as clear_replay_cache
 from repro.service.database import replay_capture
-from repro.service.tracestore import CapturedExecution, workload_build_signature
-from repro.workloads import get_workload
+from repro.service.tracestore import CapturedExecution
+from repro.workloads import WORKLOAD_REGISTRY, get_workload
 
 #: The payload shipped to a worker: the job plus the challenge nonce minted
 #: by the verifier in the parent process.
@@ -122,29 +122,26 @@ class CaptureResponse:
     capture_seconds: float
 
 
-@lru_cache(maxsize=128)
-def _assemble_cached(workload_name: str, build_signature: str) -> Program:
-    """Assemble (once per worker process) the identified workload build."""
-    return get_workload(workload_name).build()
+#: Assembled programs keyed by (workload name, registry factory): a factory
+#: builds the same program on every call, and re-registering a name installs
+#: a new factory, so no lookup hashes the workload's source.
+_PROGRAMS = DigestCache(budget=128)
 
 
 def _assembled_program(workload_name: str) -> Program:
-    """The assembled program for ``workload_name``, cached per build.
-
-    The cache key includes the build signature, not just the name: two jobs
-    that share a workload name but were registered with different sources
-    (common in tests that re-register workloads) each get their own
-    :class:`Program`.
-    """
-    return _assemble_cached(
-        workload_name, workload_build_signature(get_workload(workload_name))
-    )
+    """The assembled program for ``workload_name``, once per registration."""
+    return _PROGRAMS.get_or_build(
+        (workload_name, WORKLOAD_REGISTRY.get(workload_name)),
+        lambda: get_workload(workload_name).build())
 
 
-@lru_cache(maxsize=16)
+_KEYSTORES = DigestCache(budget=16)
+
+
 def _keystore(device_id: str) -> SecureKeyStore:
     """The device keystore, derived in-process (never crosses the boundary)."""
-    return SecureKeyStore(device_id=device_id)
+    return _KEYSTORES.get_or_build(
+        device_id, lambda: SecureKeyStore(device_id=device_id))
 
 
 def execute_prover_job(

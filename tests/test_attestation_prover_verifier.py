@@ -3,7 +3,7 @@
 import pytest
 
 from repro.attestation import Prover, Verifier
-from repro.attestation.verifier import VerdictReason
+from repro.schemes import VerdictReason
 from repro.lofat.metadata import LoopMetadata
 from repro.service.database import MeasurementDatabase
 from repro.workloads import get_workload
@@ -44,21 +44,29 @@ class TestHappyPath:
             programs[fig4.name], tuple(fig4.inputs))
         challenge = verifier.challenge(fig4.name, fig4.inputs)
         report = prover.attest(challenge)
-        assert verifier.verify(report, device_id="device-7", mode="database",
+        assert verifier.verify(report, device_id="device-7",
                                expected=(measurement, metadata)).accepted
 
-    def test_database_mode_without_reference(self, protocol_setup):
-        _, fig4, _, prover, verifier = protocol_setup
-        challenge = verifier.challenge(fig4.name, [9])
+    def test_supplied_reference_replaces_the_golden_replay(
+            self, protocol_setup):
+        """A caller's reference is what the report is judged against: a
+        reference for other inputs rejects a benign report (figure 4's
+        paths do not depend on the input, its loop counts do)."""
+        _, fig4, programs, prover, verifier = protocol_setup
+        measurement, metadata, _ = MeasurementDatabase().lookup_or_compute(
+            programs[fig4.name], (9,))
+        challenge = verifier.challenge(fig4.name, fig4.inputs)
         report = prover.attest(challenge)
-        verdict = verifier.verify(report, device_id="device-7", mode="database")
-        assert verdict.reason is VerdictReason.NO_REFERENCE
+        verdict = verifier.verify(report, device_id="device-7",
+                                  expected=(measurement, metadata))
+        assert verdict.reason is VerdictReason.METADATA_MISMATCH
 
-    def test_structural_mode_accepts_benign(self, protocol_setup):
+    def test_screen_accepts_benign(self, protocol_setup):
         _, fig4, _, prover, verifier = protocol_setup
         challenge = verifier.challenge(fig4.name, fig4.inputs)
         report = prover.attest(challenge)
-        assert verifier.verify(report, device_id="device-7", mode="structural").accepted
+        verdict, screened = verifier.screen(report, device_id="device-7")
+        assert verdict.accepted and screened is challenge
 
     def test_different_inputs_give_different_measurements(self, protocol_setup):
         _, fig4, _, prover, verifier = protocol_setup
@@ -226,10 +234,12 @@ class TestSaturatedLoopCounters:
         (record,) = list(report.metadata)
         assert record.iterations == 300
         assert max(path.iterations for path in record.paths) == 255
-        for mode in ("structural", "replay"):
-            report = prover.attest(verifier.challenge("counted", []))
-            verdict = verifier.verify(report, device_id="device-7", mode=mode)
-            assert verdict.accepted, verdict
+        report = prover.attest(verifier.challenge("counted", []))
+        verdict, _ = verifier.screen(report, device_id="device-7")
+        assert verdict.accepted, verdict
+        report = prover.attest(verifier.challenge("counted", []))
+        verdict = verifier.verify(report, device_id="device-7")
+        assert verdict.accepted, verdict
 
     def test_path_sum_above_iterations_still_rejected(self, counted):
         from repro.attestation.crypto import sign_report
@@ -242,8 +252,7 @@ class TestSaturatedLoopCounters:
             path.iterations for path in report.metadata.loops[0].paths) - 1
         report.signature = sign_report(
             report.payload, report.nonce, prover.keystore)
-        verdict = verifier.verify(report, device_id="device-7",
-                                  mode="structural")
+        verdict, _ = verifier.screen(report, device_id="device-7")
         assert verdict.reason is VerdictReason.METADATA_CFG_VIOLATION
         assert "inconsistent" in verdict.detail
 
@@ -253,6 +262,5 @@ class TestSaturatedLoopCounters:
         prover, verifier = counted
         verifier.configure_scheme("lofat", {"counter_width_bits": 16})
         report = prover.attest(verifier.challenge("counted", []))
-        verdict = verifier.verify(report, device_id="device-7",
-                                  mode="structural")
+        verdict, _ = verifier.screen(report, device_id="device-7")
         assert verdict.reason is VerdictReason.METADATA_CFG_VIOLATION

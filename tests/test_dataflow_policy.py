@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.attestation import Prover, Verifier
-from repro.attestation.verifier import VerdictReason
 from repro.dataflow import (
     StaticPolicy,
     analyze_program,
@@ -24,7 +23,7 @@ from repro.dataflow import (
 )
 from repro.dataflow.policy import LoopPolicy
 from repro.isa.assembler import assemble
-from repro.schemes import get_scheme
+from repro.schemes import VerdictReason, get_scheme
 from repro.workloads import get_workload
 
 LOOP_TEMPLATE = """
@@ -177,7 +176,7 @@ class TestVerifierPolicyScreen:
         assert not verdict.accepted
         assert verdict.reason is VerdictReason.POLICY_VIOLATION
 
-    def test_policy_screen_applies_in_every_mode(self, protocol):
+    def test_policy_screen_applies_whatever_the_reference(self, protocol):
         workload, program, prover, verifier = protocol
         scheme = get_scheme("lofat")
         _, measurement = scheme.measure_execution(
@@ -189,18 +188,24 @@ class TestVerifierPolicyScreen:
             analyze_program(program).policy.with_bound(
                 target.entry, 0, target.iterations - 1),
         )
-        for mode in ("replay", "structural"):
+        benign = (measurement.measurement, measurement.metadata.to_bytes())
+        # Golden replay, a supplied (matching) reference, and the screen
+        # alone all reject before any reference is consulted.
+        for expected in (None, benign):
             report = _attest(workload, prover, verifier)
             verdict = verifier.verify(
-                report, device_id="device-1", mode=mode)
-            assert verdict.reason is VerdictReason.POLICY_VIOLATION, mode
+                report, device_id="device-1", expected=expected)
+            assert verdict.reason is VerdictReason.POLICY_VIOLATION
+        report = _attest(workload, prover, verifier)
+        verdict, challenge = verifier.screen(report, device_id="device-1")
+        assert verdict.reason is VerdictReason.POLICY_VIOLATION
+        assert challenge is None
 
     def test_install_policy_clears_memoised_verdicts(self, protocol):
         """A structural verdict cached before install must not leak through."""
         workload, program, prover, verifier = protocol
         report = _attest(workload, prover, verifier)
-        assert verifier.verify(
-            report, device_id="device-1", mode="structural").accepted
+        assert verifier.screen(report, device_id="device-1")[0].accepted
 
         scheme = get_scheme("lofat")
         _, measurement = scheme.measure_execution(
@@ -213,8 +218,7 @@ class TestVerifierPolicyScreen:
                 target.entry, 0, target.iterations - 1),
         )
         second = _attest(workload, prover, verifier)
-        verdict = verifier.verify(
-            second, device_id="device-1", mode="structural")
+        verdict, _ = verifier.screen(second, device_id="device-1")
         assert verdict.reason is VerdictReason.POLICY_VIOLATION
 
     def test_install_policy_guards(self, protocol):

@@ -11,7 +11,7 @@ what it memoised about the old image.
 import pytest
 
 from repro.attestation import Prover, Verifier
-from repro.attestation.verifier import VerdictReason
+from repro.schemes import VerdictReason
 from repro.service import MeasurementDatabase
 from repro.workloads import get_workload
 
@@ -54,14 +54,14 @@ class TestMeasurementDatabase:
     def test_database_mode_rejects_other_input(self, setup):
         workload, program, prover, verifier = setup
         database = MeasurementDatabase()
-        database.lookup_or_compute(program, (5,))
-        # Attest a different input: no reference entry exists for it.
+        reference = database.lookup_or_compute(program, (5,))[:2]
+        # Attest a different input: no reference entry exists for it, and
+        # the other input's reference does not satisfy it.
         report = prover.attest(verifier.challenge(workload.name, [6]))
-        expected = database.lookup(program, (6,))
-        assert expected is None
-        verdict = verifier.verify(report, mode="database", expected=expected)
+        assert database.lookup(program, (6,)) is None
+        verdict = verifier.verify(report, expected=reference)
         assert not verdict.accepted
-        assert verdict.reason is VerdictReason.NO_REFERENCE
+        assert verdict.reason is VerdictReason.METADATA_MISMATCH
 
 
 class TestReregistration:
@@ -72,26 +72,24 @@ class TestReregistration:
         old_reference = database.lookup_or_compute(
             old_program, inputs, scheme=scheme)[:2]
         report = prover.attest(verifier.challenge("fw", inputs, scheme=scheme))
-        assert verifier.verify(
-            report, mode="database", expected=old_reference).accepted
+        assert verifier.verify(report, expected=old_reference).accepted
 
         verifier.register_program("fw", new_program)
         measurement, metadata, hit = database.lookup_or_compute(
             new_program, inputs, scheme=scheme)
         assert not hit  # the old binary's entry is keyed by its own digest
         report = prover.attest(verifier.challenge("fw", inputs, scheme=scheme))
-        verdict = verifier.verify(
-            report, mode="database", expected=(measurement, metadata))
+        verdict = verifier.verify(report, expected=(measurement, metadata))
         assert verdict.reason is VerdictReason.MEASUREMENT_MISMATCH
 
     def test_structural_memo_does_not_survive_new_binary(self, firmware_update):
         inputs, _, new_program, prover, verifier = firmware_update
         report = prover.attest(verifier.challenge("fw", inputs))
-        assert verifier.verify(report, mode="structural").accepted
+        assert verifier.screen(report)[0].accepted
 
         verifier.register_program("fw", new_program)
         report = prover.attest(verifier.challenge("fw", inputs))
-        verdict = verifier.verify(report, mode="structural")
+        verdict, _ = verifier.screen(report)
         # The same L the memo accepted for the old binary is judged afresh
         # against the new CFG, exactly as a cold verifier judges it.
         assert verdict.reason is VerdictReason.METADATA_CFG_VIOLATION

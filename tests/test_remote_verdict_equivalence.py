@@ -45,8 +45,7 @@ def in_process_protocol(workload_name, scheme, attack=None, inputs=None):
     report = prover.attest(challenge)
     measurement, metadata, _ = MeasurementDatabase().lookup_or_compute(
         program, tuple(inputs), scheme=scheme)
-    verdict = verifier.verify(
-        report, mode="database", expected=(measurement, metadata))
+    verdict = verifier.verify(report, expected=(measurement, metadata))
     return report, verdict
 
 

@@ -235,8 +235,8 @@ class TestVerifierIntegration:
         measurement, metadata, _ = database.lookup_or_compute(program, (5,))
 
         report = prover.attest(verifier.challenge(workload.name, [5]))
-        assert verifier.verify(report, mode="database",
-                               expected=(measurement, metadata)).accepted
+        assert verifier.verify(
+            report, expected=(measurement, metadata)).accepted
 
     def test_seeded_verifier_rejects_wrong_measurement(self, figure4):
         workload, program = figure4
@@ -247,8 +247,7 @@ class TestVerifierIntegration:
             "prover-0", prover.keystore.export_for_verifier())
 
         report = prover.attest(verifier.challenge(workload.name, [5]))
-        verdict = verifier.verify(report, mode="database",
-                                  expected=(b"\x00" * 64, b""))
+        verdict = verifier.verify(report, expected=(b"\x00" * 64, b""))
         assert not verdict.accepted
         assert verdict.reason.value == "measurement_mismatch"
 

@@ -507,6 +507,122 @@ class TestVerification:
         assert "database" in stats and "session_pool" in stats
 
 
+def _over_iterated(report, device_id="prover-0"):
+    """``report`` with one proven-bounded loop run past its bound, re-signed
+    with the device key: a compromised prover the policy screen rejects."""
+    from dataclasses import replace
+
+    from repro.attestation.crypto import SecureKeyStore, sign_report
+    from repro.dataflow import analyze_program
+    from repro.lofat.metadata import LoopMetadata
+
+    policy = analyze_program(get_workload(report.program_id).build()).policy
+    metadata = LoopMetadata.from_bytes(report.metadata.to_bytes())
+    record = next(r for r in metadata
+                  if r.paths and policy.bound_for(r.entry) is not None)
+    extra = policy.bound_for(record.entry).max_iterations + 1 \
+        - record.iterations
+    record.iterations += extra
+    record.paths[0] = replace(
+        record.paths[0], iterations=record.paths[0].iterations + extra)
+    return AttestationReport(
+        program_id=report.program_id, measurement=report.measurement,
+        metadata=metadata, nonce=report.nonce,
+        signature=sign_report(report.measurement + metadata.to_bytes(),
+                              report.nonce, SecureKeyStore(device_id=device_id)),
+        scheme=report.scheme,
+    )
+
+
+class TestOneVerifySequence:
+    """The server verifies through the verifier's one sequence: admission
+    and the screen first, a reference only for a report that passed both."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """Counts signature checks, database lookups and computed references."""
+        import repro.attestation.verifier as verifier_module
+        import repro.service.server as server_module
+
+        counts = {"signatures": 0, "lookups": 0, "references": 0}
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        check = counted("signatures", verifier_module.verify_signature)
+        for module in (verifier_module, server_module):
+            if hasattr(module, "verify_signature"):
+                monkeypatch.setattr(module, "verify_signature", check)
+        monkeypatch.setattr(MeasurementDatabase, "lookup",
+                            counted("lookups", MeasurementDatabase.lookup))
+        monkeypatch.setattr(server_module, "compute_reference", counted(
+            "references", server_module.compute_reference))
+        return counts
+
+    def test_signature_checked_once_per_report(self, counts):
+        async def scenario(server):
+            client = await connected_client(server)
+            for _ in range(3):
+                _, verdict = await client.attest_round(WORKLOAD)
+                assert verdict.accepted
+            await client.close()
+        serve(scenario)
+        assert counts == {"signatures": 3, "lookups": 3, "references": 1}
+
+    def test_rejected_reports_cost_no_lookup_and_no_reference(self, counts):
+        """On a fresh database with a cold key: a bad signature, a policy
+        violation and a reused nonce are all rejected without a database
+        lookup or a reference computation."""
+        async def scenario(server):
+            client = await connected_client(server)
+            challenge = await client.request_challenge("crc32")
+            report = client.prover.respond(challenge)
+            forged = AttestationReport(
+                program_id=report.program_id, measurement=report.measurement,
+                metadata=report.metadata, nonce=report.nonce,
+                signature=b"\x00" * 32, scheme=report.scheme)
+            reasons = [(await client.submit_report(forged)).reason]
+            tampered = _over_iterated(report)
+            reasons.append((await client.submit_report(tampered)).reason)
+            reasons.append((await client.submit_report(tampered)).reason)
+            await client.close()
+            return reasons, server.pool.sessions_opened, len(server.database)
+        reasons, sessions, entries = serve(scenario)
+        assert reasons == ["bad_signature", "policy_violation", "nonce_reused"]
+        # One check each for the forged and the tampered report; the reused
+        # nonce is refused before its signature is looked at.
+        assert counts == {"signatures": 2, "lookups": 0, "references": 0}
+        assert (sessions, entries) == (0, 0)
+
+    def test_reference_overflow_is_a_metadata_limit_verdict(self, monkeypatch):
+        """A cold reference whose ``L`` does not fit is rejected with reason
+        ``metadata_limit``, as the campaign runner rejects it, and the
+        connection stays open."""
+        import repro.service.server as server_module
+        from repro.lofat.metadata import MetadataLimitError
+
+        def overflow(*args, **kwargs):
+            raise MetadataLimitError("loop record count", 70_001, 0xFFFF)
+
+        monkeypatch.setattr(server_module, "compute_reference", overflow)
+
+        async def scenario(server):
+            client = await connected_client(server)
+            _, first = await client.attest_round(WORKLOAD)
+            monkeypatch.undo()
+            _, second = await client.attest_round(WORKLOAD)
+            await client.close()
+            return first, second, server.stats.as_dict(), len(server.database)
+        first, second, stats, entries = serve(scenario)
+        assert (first.accepted, first.reason) == (False, "metadata_limit")
+        assert "loop record count 70001" in first.detail
+        assert second.accepted
+        assert (stats["protocol_errors"], stats["rejected"], entries) == (0, 1, 1)
+
+
 class TestReferenceParity:
     """The runner's ``lookup_or_compute`` and the server's
     ``_expected_measurement`` run one reference sequence: the same
