@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from repro.analysis.performance import compare_all_workloads
 from repro.analysis.report import format_table
+from repro.schemes import get_scheme
 from repro.schemes.cflat import CFlatCostModel
-from repro.lofat.engine import attest_execution
 from repro.workloads import all_workloads, get_workload
 
 
@@ -19,7 +19,8 @@ def test_e1_overhead_comparison(benchmark, report_writer):
     # Timed kernel: one full attested execution of the syringe-pump firmware.
     workload = get_workload("syringe_pump")
     program = workload.build()
-    benchmark(lambda: attest_execution(program, inputs=list(workload.inputs)))
+    lofat = get_scheme("lofat")
+    benchmark(lambda: lofat.measure_execution(program, workload.inputs))
 
     comparisons = compare_all_workloads(all_workloads(), cflat_cost=CFlatCostModel())
     rows = [comparison.as_row() for comparison in comparisons]

@@ -11,7 +11,7 @@ the loop adds no hash work (only counter increments).
 from __future__ import annotations
 
 from repro.analysis.report import format_table
-from repro.lofat.engine import attest_execution
+from repro.schemes import get_scheme
 from repro.workloads import get_workload
 
 
@@ -19,9 +19,10 @@ def test_e4_figure4_path_encodings(benchmark, report_writer):
     workload = get_workload("figure4_loop")
     program = workload.build()
     iterations = 6
+    lofat = get_scheme("lofat")
 
     result, measurement = benchmark(
-        lambda: attest_execution(program, inputs=[iterations]))
+        lambda: lofat.measure_execution(program, [iterations]))
 
     assert len(measurement.metadata) == 1
     loop = measurement.metadata.loops[0]
@@ -48,6 +49,6 @@ def test_e4_figure4_path_encodings(benchmark, report_writer):
     assert loop.iterations == iterations
 
     # Doubling the iterations increases only counters, not hash input.
-    _, longer = attest_execution(program, inputs=[iterations * 4])
+    _, longer = lofat.measure_execution(program, [iterations * 4])
     assert longer.stats["pairs_hashed"] == measurement.stats["pairs_hashed"]
     assert longer.metadata.loops[0].iterations == iterations * 4

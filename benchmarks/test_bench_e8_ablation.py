@@ -15,7 +15,7 @@ from repro.analysis.report import format_table
 from repro.analysis.sweep import granularity_sweep
 from repro.lofat.area_model import AreaModel
 from repro.lofat.config import LoFatConfig
-from repro.lofat.engine import attest_execution
+from repro.schemes import get_scheme
 from repro.workloads import get_workload
 
 
@@ -26,7 +26,8 @@ def test_e8_granularity_tradeoff(benchmark, report_writer):
     stressed = workload.with_inputs([1, 2, 3, 1, 2, 3, 2, 1, 3, 3, 2, 1, 0])
 
     program = stressed.build()
-    benchmark(lambda: attest_execution(program, inputs=list(stressed.inputs)))
+    benchmark(lambda: get_scheme("lofat").measure_execution(
+        program, stressed.inputs))
 
     rows = granularity_sweep(stressed, indirect_bits=(2, 3, 4, 6),
                              max_branches=(8, 16, 24))
@@ -56,8 +57,8 @@ def test_e8_counter_width_ablation(benchmark, report_writer):
 
     def run(width):
         config = LoFatConfig(counter_width_bits=width)
-        _, measurement = attest_execution(program, inputs=list(workload.inputs),
-                                          config=config)
+        _, measurement = get_scheme("lofat").measure_execution(
+            program, workload.inputs, config=config)
         area = AreaModel(config).estimate()
         saturated = 0
         for loop in measurement.metadata:

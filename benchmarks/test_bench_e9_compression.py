@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from repro.analysis.report import format_table
 from repro.lofat.config import LoFatConfig
-from repro.lofat.engine import attest_execution
+from repro.schemes import get_scheme
 from repro.workloads import all_workloads, get_workload
 
 #: Loop tracking disabled: every control-flow event is hashed directly.
@@ -22,9 +22,9 @@ NO_COMPRESSION = LoFatConfig(max_nested_loops=0)
 
 
 def _attest_with(workload, config, inputs=None):
-    program = workload.build()
-    run_inputs = list(workload.inputs) if inputs is None else list(inputs)
-    return attest_execution(program, inputs=run_inputs, config=config)
+    return get_scheme("lofat").measure_execution(
+        workload.build(), workload.inputs if inputs is None else inputs,
+        config=config)
 
 
 def test_e9_compression_ablation_per_workload(benchmark, report_writer):

@@ -26,6 +26,8 @@ def main() -> int:
     print("Inputs (i)   : %s" % workload.inputs)
 
     # --- 1. Stand-alone attested execution -------------------------------
+    # attest_workload measures through the one run-and-measure sequence,
+    # get_scheme("lofat").measure_execution(program, inputs).
     result, measurement = attest_workload(name)
     print("\n--- attested execution ---")
     print("Program output        : %r" % result.output)

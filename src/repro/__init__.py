@@ -35,31 +35,31 @@ Campaign-scale quickstart::
 """
 
 from repro.attestation import Prover, Verifier
-from repro.lofat import AttestationMeasurement, LoFatConfig, LoFatEngine
-from repro.lofat.engine import attest_execution
-from repro.schemes import AttestationScheme, all_schemes, get_scheme
+from repro.lofat import LoFatConfig, LoFatEngine
+from repro.schemes import (
+    AttestationScheme,
+    SchemeMeasurement,
+    all_schemes,
+    get_scheme,
+)
 from repro.service import CampaignRunner, CampaignSpec, MeasurementDatabase
 from repro.workloads import Workload, all_workloads, get_workload
 
 __version__ = "1.1.0"
 
 
-def attest_workload(name: str, inputs=None, config=None, scheme=None):
+def attest_workload(name: str, inputs=None, config=None, scheme="lofat"):
     """Run a registered workload under a scheme and return (result, measurement).
 
-    ``inputs`` overrides the workload's default input vector.  With the
-    default LO-FAT scheme, ``config`` is an optional
-    :class:`repro.lofat.LoFatConfig` and the return matches
-    :func:`repro.lofat.engine.attest_execution`.  Passing ``scheme`` (a
-    registry name, e.g. ``"cflat"``) measures through that backend instead
-    and returns its :class:`repro.schemes.SchemeMeasurement`.
+    ``inputs`` overrides the workload's default input vector; ``scheme`` is
+    a registry name (``"lofat"``, ``"cflat"``, ``"static"``) and ``config``
+    that scheme's configuration (e.g. a :class:`repro.lofat.LoFatConfig`).
+    Every scheme returns its :class:`repro.schemes.SchemeMeasurement`
+    through :meth:`repro.schemes.AttestationScheme.measure_execution`.
     """
     workload = get_workload(name)
-    program = workload.build()
-    run_inputs = list(workload.inputs) if inputs is None else list(inputs)
-    if scheme is None or scheme == "lofat":
-        return attest_execution(program, inputs=run_inputs, config=config)
-    return get_scheme(scheme).measure_execution(program, run_inputs,
+    inputs = workload.inputs if inputs is None else inputs
+    return get_scheme(scheme).measure_execution(workload.build(), inputs,
                                                 config=config)
 
 
@@ -69,12 +69,11 @@ __all__ = [
     "CampaignRunner",
     "CampaignSpec",
     "MeasurementDatabase",
-    "AttestationMeasurement",
     "AttestationScheme",
     "LoFatConfig",
     "LoFatEngine",
+    "SchemeMeasurement",
     "all_schemes",
-    "attest_execution",
     "attest_workload",
     "get_scheme",
     "Workload",

@@ -141,20 +141,15 @@ def _run_measured(scheme, program, inputs, corruptions=()):
     (out of fuel, memory protection, illegal instruction, misalignment --
     the candidate is simply not viable).
     """
-    cpu = Cpu(
-        program,
-        inputs=list(inputs),
-        config=CpuConfig(collect_trace=False, max_instructions=VET_FUEL),
-    )
-    session = scheme.open_session(program)
-    cpu.attach_monitor(session.observe)
-    for corruption in corruptions:
-        corruption.install(cpu)
     try:
-        result = cpu.run()
+        result, measured = scheme.measure_execution(
+            program, inputs,
+            cpu_config=CpuConfig(collect_trace=False, max_instructions=VET_FUEL),
+            hooks=[corruption.install for corruption in corruptions],
+        )
     except CpuError:
         return None
-    return result, _measurement_key(session.finalize())
+    return result, _measurement_key(measured)
 
 
 def _redirect_builder(trigger_pc: int, target: int, occurrence: int):

@@ -35,9 +35,8 @@ def format_campaign_summary(result) -> str:
     )]
     summary.pop("workers")
     pipeline = summary.pop("pipeline", "capture")
-    lines.append("  execution path   : %s, %s pipeline"
-                 % (summary.pop("engine"),
-                    "capture/attest" if pipeline == "capture" else "live"))
+    lines.append("  execution path   : %s pipeline"
+                 % ("capture/attest" if pipeline == "capture" else "live"))
     lines.append("  jobs             : %d" % summary.pop("jobs"))
     lines.append("  all as expected  : %s" % summary.pop("ok"))
     lines.append("  accepted reports : %d" % summary.pop("accepted"))

@@ -23,7 +23,6 @@ from repro.schemes import get_scheme
 from repro.schemes.cflat import CFlatCostModel
 from repro.cpu.core import Cpu, CpuConfig
 from repro.lofat.config import LoFatConfig
-from repro.lofat.engine import LoFatEngine
 from repro.workloads.common import Workload
 
 
@@ -103,11 +102,8 @@ def compare_workload(
     baseline = baseline_cpu.run()
 
     # 2. LO-FAT: same execution with the hardware monitor attached.
-    lofat_cpu = Cpu(program, inputs=list(workload.inputs), config=cpu_config)
-    engine = LoFatEngine(lofat_config)
-    lofat_cpu.attach_monitor(engine.observe)
-    lofat_result = lofat_cpu.run()
-    measurement = engine.finalize()
+    lofat_result, measurement = get_scheme("lofat").measure_execution(
+        program, workload.inputs, config=lofat_config, cpu_config=cpu_config)
 
     # 3. C-FLAT: software attestation cost model over the same trace.
     cflat = get_scheme("cflat").cost_model(baseline.trace, cflat_cost)

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.cpu.core import Cpu, CpuConfig
+from repro.cpu.core import CpuConfig
 from repro.lofat.area_model import AreaModel, FpgaDevice, VIRTEX7_XC7Z020
 from repro.lofat.config import LoFatConfig
-from repro.lofat.engine import LoFatEngine
+from repro.schemes import get_scheme
 from repro.workloads.common import Workload
 
 
@@ -67,12 +67,10 @@ def buffer_depth_sweep(
     for workload in workloads:
         program = workload.build()
         for depth in buffer_depths:
-            config = LoFatConfig(hash_input_buffer_depth=depth)
-            cpu = Cpu(program, inputs=list(workload.inputs), config=cpu_config)
-            engine = LoFatEngine(config)
-            cpu.attach_monitor(engine.observe)
-            cpu.run()
-            measurement = engine.finalize()
+            _, measurement = get_scheme("lofat").measure_execution(
+                program, workload.inputs,
+                config=LoFatConfig(hash_input_buffer_depth=depth),
+                cpu_config=cpu_config)
             hash_stats = measurement.stats["hash_engine"]
             rows.append({
                 "workload": workload.name,
@@ -108,11 +106,8 @@ def granularity_sweep(
                     2, branches // max(bits, 1)
                 ) or 1,
             )
-            cpu = Cpu(program, inputs=list(workload.inputs), config=cpu_config)
-            engine = LoFatEngine(config)
-            cpu.attach_monitor(engine.observe)
-            cpu.run()
-            measurement = engine.finalize()
+            _, measurement = get_scheme("lofat").measure_execution(
+                program, workload.inputs, config=config, cpu_config=cpu_config)
             truncated = sum(
                 1
                 for loop in measurement.metadata
@@ -148,12 +143,9 @@ def hash_density_sweep(
         cpu_config = CpuConfig(engine="legacy")
     rows: List[Dict[str, object]] = []
     for workload in workloads:
-        program = workload.build()
-        cpu = Cpu(program, inputs=list(workload.inputs), config=cpu_config)
-        engine = LoFatEngine(config)
-        cpu.attach_monitor(engine.observe)
-        result = cpu.run()
-        measurement = engine.finalize()
+        result, measurement = get_scheme("lofat").measure_execution(
+            workload.build(), workload.inputs, config=config,
+            cpu_config=cpu_config)
         hash_stats = measurement.stats["hash_engine"]
         events = result.trace.control_flow_events
         rows.append({

@@ -28,7 +28,6 @@ from repro.attestation.crypto import SecureKeyStore, sign_report
 from repro.attestation.protocol import AttestationChallenge, AttestationReport
 from repro.cpu.core import Cpu, CpuConfig
 from repro.isa.assembler import Program
-from repro.lofat.config import LoFatConfig
 from repro.schemes import get_scheme
 
 
@@ -51,19 +50,16 @@ class Prover:
         self,
         programs: Dict[str, Program],
         keystore: Optional[SecureKeyStore] = None,
-        lofat_config: Optional[LoFatConfig] = None,
         cpu_config: Optional[CpuConfig] = None,
         device_id: str = "prover-0",
     ) -> None:
         self.programs = dict(programs)
         self.keystore = keystore or SecureKeyStore(device_id=device_id)
-        self.lofat_config = lofat_config or LoFatConfig()
         self.cpu_config = cpu_config
         self.device_id = device_id
-        #: Per-scheme configuration objects; schemes without an entry use
-        #: their defaults.  The historical ``lofat_config`` argument seeds
-        #: the ``lofat`` entry.
-        self._scheme_configs: Dict[str, object] = {"lofat": self.lofat_config}
+        #: Per-scheme configuration objects (:meth:`configure_scheme`);
+        #: schemes without an entry use their defaults.
+        self._scheme_configs: Dict[str, object] = {}
         #: Adversary-controlled inputs appended after the verifier's inputs
         #: (the ``I`` of the protocol figure).
         self.adversary_inputs: List[int] = []
@@ -88,8 +84,6 @@ class Prover:
         if config is None or isinstance(config, dict):
             config = backend.configure(config or {})
         self._scheme_configs[scheme] = config
-        if scheme == "lofat":
-            self.lofat_config = config
 
     def scheme_config(self, scheme: str):
         """The configuration this device uses for ``scheme``."""
@@ -113,18 +107,14 @@ class Prover:
         """Execute the requested program under the challenge's scheme and sign."""
         if challenge.program_id not in self.programs:
             raise KeyError("unknown program id: %r" % challenge.program_id)
-        program = self.programs[challenge.program_id]
         scheme = get_scheme(challenge.scheme)
-        session = scheme.open_session(program, self.scheme_config(scheme.name))
-
-        inputs = list(challenge.inputs) + list(self.adversary_inputs)
-        cpu = Cpu(program, inputs=inputs, config=self.cpu_config)
-        cpu.attach_monitor(session.observe)
-        for hook in self.attack_hooks:
-            hook(cpu)
-
-        result = cpu.run()
-        measurement = session.finalize()
+        result, measurement = scheme.measure_execution(
+            self.programs[challenge.program_id],
+            list(challenge.inputs) + list(self.adversary_inputs),
+            config=self.scheme_config(scheme.name),
+            cpu_config=self.cpu_config,
+            hooks=self.attack_hooks,
+        )
 
         self.last_run = ProverRunInfo(
             instructions=result.instructions,
@@ -135,8 +125,8 @@ class Prover:
             output=result.output,
         )
 
-        payload = measurement.measurement + measurement.metadata.to_bytes()
-        signature = sign_report(payload, challenge.nonce, self.keystore)
+        signature = sign_report(measurement.report_payload, challenge.nonce,
+                                self.keystore)
         return AttestationReport(
             program_id=challenge.program_id,
             measurement=measurement.measurement,

@@ -21,7 +21,8 @@ The package mirrors the hardware decomposition of Figure 3 in the paper:
   of the absorb pipeline and its input cache buffer (paper §5.3).
 * :mod:`repro.lofat.metadata` -- the auxiliary loop metadata ``L``.
 * :mod:`repro.lofat.engine` -- the top-level engine wiring all components and
-  attaching to the CPU as a retired-instruction monitor.
+  attaching to the CPU as a retired-instruction monitor, and the one
+  measurement result type every scheme reports (:class:`SchemeMeasurement`).
 * :mod:`repro.lofat.area_model` -- the analytical FPGA resource model used to
   reproduce the paper's area evaluation (§6.2).
 """
@@ -34,7 +35,7 @@ from repro.lofat.loop_counter_memory import LoopCounterMemory
 from repro.lofat.branch_filter import BranchFilter, FilterEvent, FilterEventKind
 from repro.lofat.loop_monitor import LoopMonitor
 from repro.lofat.metadata import LoopMetadata, LoopRecord, PathRecord
-from repro.lofat.engine import AttestationMeasurement, LoFatEngine
+from repro.lofat.engine import LoFatEngine, SchemeMeasurement
 from repro.lofat.area_model import AreaEstimate, AreaModel, FpgaDevice, VIRTEX7_XC7Z020
 
 __all__ = [
@@ -52,8 +53,8 @@ __all__ = [
     "LoopMetadata",
     "LoopRecord",
     "PathRecord",
-    "AttestationMeasurement",
     "LoFatEngine",
+    "SchemeMeasurement",
     "AreaEstimate",
     "AreaModel",
     "FpgaDevice",

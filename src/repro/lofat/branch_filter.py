@@ -87,6 +87,11 @@ class BranchFilter:
         hash_non_loop: callback invoked with (record) for every control-flow
             instruction outside any tracked loop -- the ``non_loops ctrl``
             path that enables direct hashing of the (Src, Dest) pair.
+        hash_non_loop_run: batched variant, called with a run of
+            consecutive non-loop records (same bytes, same order).
+        hash_non_loop_chunk: per-block variant, called with
+            ``(chunk, pairs, records)`` whose pair bytes were serialized at
+            block-compile time (compiled engine).
         record_events: keep a diagnostic list of :class:`FilterEvent`.
     """
 
@@ -95,8 +100,8 @@ class BranchFilter:
         config: LoFatConfig,
         loop_monitor: LoopMonitor,
         hash_non_loop: Callable[[TraceRecord], None],
-        hash_non_loop_run: Optional[Callable[[Sequence[TraceRecord]], None]] = None,
-        hash_non_loop_chunk: Optional[Callable] = None,
+        hash_non_loop_run: Callable[[Sequence[TraceRecord]], None],
+        hash_non_loop_chunk: Callable,
         record_events: bool = False,
     ) -> None:
         self.config = config
@@ -104,15 +109,7 @@ class BranchFilter:
         #: The monitor's loop stack (it pushes and pops this one list).
         self._loops = loop_monitor.active_loops
         self.hash_non_loop = hash_non_loop
-        #: Optional batched variant of ``hash_non_loop``: absorbs a run of
-        #: consecutive non-loop branches in one hash-engine call (same bytes,
-        #: same order).  When absent, batched observation falls back to the
-        #: per-record callback.
         self.hash_non_loop_run = hash_non_loop_run
-        #: Optional precomputed-chunk variant used by per-block observation
-        #: (compiled engine): ``(chunk, pairs, records)`` with the pair bytes
-        #: already serialized at block-compile time.  Falls back to
-        #: :attr:`hash_non_loop_run` / :attr:`hash_non_loop` when absent.
         self.hash_non_loop_chunk = hash_non_loop_chunk
         self.stats = FilterStats()
         self.events: List[FilterEvent] = []
@@ -196,10 +193,7 @@ class BranchFilter:
             stats.non_loop_branches += n
             self.internal_latency_cycles += n * self.config.branch_tracking_latency
             self._linear_start = internal[-1].next_pc
-            if self.hash_non_loop_chunk is not None:
-                self.hash_non_loop_chunk(chunk, pairs, internal)
-            else:
-                self._flush_direct_run(internal)
+            self.hash_non_loop_chunk(chunk, pairs, internal)
             records = records[n:]
         self._observe_records(records)
 
@@ -258,7 +252,7 @@ class BranchFilter:
             if (kind is _CONDITIONAL or kind is _DIRECT_JUMP) and record.taken \
                     and next_pc <= pc:
                 if pending:
-                    self._flush_direct_run(pending)
+                    self.hash_non_loop_run(pending)
                     pending = []
                 if stack and stack[-1].entry == next_pc:
                     # Another iteration of the innermost loop.
@@ -287,7 +281,7 @@ class BranchFilter:
                 if record_events:
                     emit(FilterEventKind.NON_LOOP_BRANCH, record, pc)
         if pending:
-            self._flush_direct_run(pending)
+            self.hash_non_loop_run(pending)
         self._call_depth = depth
         self._linear_start = run_start
         stats = self.stats
@@ -316,13 +310,6 @@ class BranchFilter:
         if run_start is None or run_start >= next_pc:
             return  # nothing retired since the last observed record
         self._exit_loops_in_range(run_start, next_pc - 4, cycle, self._call_depth)
-
-    def _flush_direct_run(self, records: Sequence[TraceRecord]) -> None:
-        if self.hash_non_loop_run is not None:
-            self.hash_non_loop_run(records)
-        else:
-            for record in records:
-                self.hash_non_loop(record)
 
     def _exit_loops_in_range(self, run_start: int, last_pc: int, cycle: int,
                              call_depth: int) -> None:

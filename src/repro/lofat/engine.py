@@ -6,21 +6,22 @@ into the CPU model as a retired-instruction monitor.  Because it is a monitor,
 it observes execution *in parallel* with the core and can never slow it down
 -- which is the paper's central performance claim (zero processor overhead).
 
-Typical use::
+The engine is the ``lofat`` scheme's measurement session: every attested run
+goes through :meth:`repro.schemes.AttestationScheme.measure_execution`,
+which opens one engine per execution, attaches it to a fresh CPU and
+finalizes it.  Typical use::
 
-    engine = LoFatEngine()
-    cpu = Cpu(program, inputs=[...])
-    cpu.attach_monitor(engine.observe)
-    result = cpu.run()
-    measurement = engine.finalize()
-    # measurement.measurement  -> 64-byte SHA3-512 value A
-    # measurement.metadata     -> loop metadata L
+    from repro.schemes import get_scheme
+
+    result, measured = get_scheme("lofat").measure_execution(program, [...])
+    # measured.measurement  -> 64-byte SHA3-512 value A
+    # measured.metadata     -> loop metadata L
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.cpu.trace import TraceRecord
 from repro.lofat.branch_filter import BranchFilter
@@ -31,17 +32,21 @@ from repro.lofat.metadata import LoopMetadata, MetadataGenerator
 
 
 @dataclass
-class AttestationMeasurement:
-    """The prover-side result of one attested execution.
+class SchemeMeasurement:
+    """What one measurement session produced.
 
-    Attributes:
-        measurement: the 64-byte SHA3-512 cumulative hash ``A``.
-        metadata: the loop metadata ``L``.
-        stats: engine statistics (compression, latency, buffering).
+    Every attestation scheme reports through this one shape (re-exported as
+    :class:`repro.schemes.SchemeMeasurement`), so reports, signatures and
+    database entries are uniform: ``measurement`` is the scheme's digest
+    ``A`` (64 bytes for the control-flow hashes, 32 for the static image
+    hash), ``metadata`` is the auxiliary data ``L`` (empty for schemes
+    without loop compression) and ``stats`` carries the scheme's
+    operational numbers (for LO-FAT: compression, latency, buffering).
     """
 
+    scheme: str
     measurement: bytes
-    metadata: LoopMetadata
+    metadata: LoopMetadata = field(default_factory=LoopMetadata)
     stats: dict = field(default_factory=dict)
 
     @property
@@ -50,13 +55,23 @@ class AttestationMeasurement:
         return self.measurement.hex()
 
     @property
+    def metadata_bytes(self) -> bytes:
+        """The serialised metadata (what signatures and databases store)."""
+        return self.metadata.to_bytes()
+
+    @property
     def report_payload(self) -> bytes:
         """The byte string covered by the attestation signature: ``A || L``."""
         return self.measurement + self.metadata.to_bytes()
 
 
 class LoFatEngine:
-    """Hardware control-flow attestation engine (transaction-level model)."""
+    """Hardware control-flow attestation engine (transaction-level model).
+
+    One engine observes one execution; it speaks the
+    :class:`repro.schemes.MeasurementSession` protocol, so the ``lofat``
+    scheme hands it out as its session directly.
+    """
 
     def __init__(self, config: Optional[LoFatConfig] = None,
                  record_filter_events: bool = False) -> None:
@@ -77,7 +92,7 @@ class LoFatEngine:
             record_events=record_filter_events,
         )
         self._last_cycle = 0
-        self._finalized: Optional[AttestationMeasurement] = None
+        self._finalized: Optional[SchemeMeasurement] = None
 
     # ------------------------------------------------------------- wiring
     def _hash_non_loop_branch(self, record: TraceRecord) -> None:
@@ -178,7 +193,7 @@ class LoFatEngine:
     __call__ = observe
 
     # ------------------------------------------------------------ results
-    def finalize(self) -> AttestationMeasurement:
+    def finalize(self) -> SchemeMeasurement:
         """Close the attested execution and produce ``(A, L)``.
 
         Idempotent: repeated calls return the same measurement.
@@ -189,7 +204,8 @@ class LoFatEngine:
         self.hash_engine.flush_cycle_model()
         measurement = self.hash_engine.finalize()
         metadata = self.metadata_generator.finalize()
-        self._finalized = AttestationMeasurement(
+        self._finalized = SchemeMeasurement(
+            scheme="lofat",
             measurement=measurement,
             metadata=metadata,
             stats=self.statistics(),
@@ -217,36 +233,3 @@ class LoFatEngine:
             "hash_engine": hash_stats.as_dict(),
         }
 
-
-def attest_execution(
-    program,
-    inputs: Optional[List[int]] = None,
-    config: Optional[LoFatConfig] = None,
-    cpu_config=None,
-    collect_trace: Optional[bool] = None,
-):
-    """Run ``program`` with LO-FAT attached; return (ExecutionResult, measurement).
-
-    This is the one-call convenience API used by the examples and the
-    verifier's golden replay: it builds a CPU, attaches a fresh
-    :class:`LoFatEngine`, runs the program and finalizes the measurement.
-
-    ``collect_trace=False`` streams the retired-instruction records straight
-    into the engine without accumulating them on the result -- the engine
-    consumes each record as it retires, so the measurement is identical while
-    memory stays O(1) in the execution length.  The returned result then
-    carries only trace summary statistics.
-    """
-    from dataclasses import replace
-
-    from repro.cpu.core import Cpu, CpuConfig
-
-    if collect_trace is not None:
-        base = cpu_config or CpuConfig()
-        cpu_config = replace(base, collect_trace=collect_trace)
-    cpu = Cpu(program, inputs=inputs, config=cpu_config)
-    engine = LoFatEngine(config)
-    cpu.attach_monitor(engine.observe)
-    result = cpu.run()
-    measurement = engine.finalize()
-    return result, measurement

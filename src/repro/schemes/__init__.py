@@ -6,7 +6,8 @@ that resolves scheme names carried in challenges, reports, database keys and
 campaign specs.  Three backends are first-class:
 
 * ``lofat``  -- the paper's parallel hardware measurement
-  (:mod:`repro.schemes.lofat`, wrapping :class:`repro.lofat.engine.LoFatEngine`).
+  (:mod:`repro.schemes.lofat`; its session is a
+  :class:`repro.lofat.engine.LoFatEngine`).
 * ``cflat``  -- C-FLAT software instrumentation promoted to a full measuring
   scheme (:mod:`repro.schemes.cflat`).
 * ``static`` -- classic load-time binary attestation
@@ -21,11 +22,13 @@ Adding a backend is a self-registering subclass (see ``docs/SCHEMES.md``)::
         name = "mine"
         ...
 
-Quickstart::
+Every attested run goes through one sequence,
+:meth:`AttestationScheme.measure_execution`, and every scheme reports one
+result type, :class:`SchemeMeasurement`.  Quickstart::
 
     from repro.schemes import get_scheme
     scheme = get_scheme("cflat")
-    measurement = scheme.reference_measurement(program, inputs=[5])
+    result, measured = scheme.measure_execution(program, inputs=[5])
 """
 
 from repro.schemes.base import (
@@ -51,21 +54,9 @@ from repro.schemes.registry import (
 
 # Importing the modules populates the registry.
 from repro.schemes import cflat, lofat, static  # noqa: F401  (registration)
-from repro.schemes.cflat import (
-    CFlatAttestation,
-    CFlatCostModel,
-    CFlatResult,
-    CFlatScheme,
-    CFlatSession,
-)
-from repro.schemes.lofat import LoFatScheme, LoFatSession
-from repro.schemes.static import (
-    StaticAttestation,
-    StaticConfig,
-    StaticMeasurement,
-    StaticScheme,
-    StaticSession,
-)
+from repro.schemes.cflat import CFlatCostModel, CFlatScheme, CFlatSession
+from repro.schemes.lofat import LoFatScheme
+from repro.schemes.static import StaticConfig, StaticScheme, StaticSession
 
 __all__ = [
     "AttestationScheme",
@@ -85,15 +76,10 @@ __all__ = [
     "register_scheme",
     "scheme_names",
     "LoFatScheme",
-    "LoFatSession",
     "CFlatScheme",
     "CFlatSession",
     "CFlatCostModel",
-    "CFlatResult",
-    "CFlatAttestation",
     "StaticScheme",
     "StaticSession",
     "StaticConfig",
-    "StaticAttestation",
-    "StaticMeasurement",
 ]

@@ -24,7 +24,10 @@ The contract (see ``docs/SCHEMES.md`` for the how-to-add-a-backend guide):
   execution (the E1/E11 overhead comparisons).
 
 Verdict types (:class:`VerdictReason`, :class:`VerificationResult`) live here
-so schemes can return them without importing the verifier.
+so schemes can return them without importing the verifier.  The one
+measurement result type, :class:`SchemeMeasurement`, is defined next to the
+LO-FAT engine (:mod:`repro.lofat.engine`) so imports keep flowing from
+schemes to the engine, never back.
 """
 
 from __future__ import annotations
@@ -33,11 +36,11 @@ import abc
 import enum
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, is_dataclass, replace
-from typing import ClassVar, Mapping, Optional, Tuple
+from dataclasses import asdict, dataclass, is_dataclass, replace
+from typing import Callable, ClassVar, Iterable, Mapping, Optional, Tuple
 
 from repro.cpu.core import MONITOR_BATCH_SIZE
-from repro.lofat.metadata import LoopMetadata
+from repro.lofat.engine import SchemeMeasurement
 
 
 class SchemeError(ValueError):
@@ -77,37 +80,6 @@ class VerificationResult:
 
     def __bool__(self) -> bool:
         return self.accepted
-
-
-@dataclass
-class SchemeMeasurement:
-    """What one measurement session produced.
-
-    Every scheme reports through the same shape so reports, signatures and
-    database entries are uniform: ``measurement`` is the scheme's digest
-    (64 bytes for the control-flow hashes, 32 for the static image hash),
-    ``metadata`` is the auxiliary data ``L`` (empty for schemes without loop
-    compression) and ``stats`` carries the scheme's operational numbers.
-    """
-
-    scheme: str
-    measurement: bytes
-    metadata: LoopMetadata = field(default_factory=LoopMetadata)
-    stats: dict = field(default_factory=dict)
-
-    @property
-    def measurement_hex(self) -> str:
-        return self.measurement.hex()
-
-    @property
-    def metadata_bytes(self) -> bytes:
-        """The serialised metadata (what signatures and databases store)."""
-        return self.metadata.to_bytes()
-
-    @property
-    def report_payload(self) -> bytes:
-        """The byte string covered by the attestation signature: ``A || L``."""
-        return self.measurement + self.metadata.to_bytes()
 
 
 @dataclass(frozen=True)
@@ -253,11 +225,15 @@ class AttestationScheme(abc.ABC):
         inputs,
         config=None,
         cpu_config=None,
+        hooks: Iterable[Callable] = (),
     ):
         """Run ``program`` with a fresh session attached.
 
-        The one shared run-and-measure sequence (CLI, public API and the
-        verifier's replay all funnel through it); returns
+        The one run-and-measure sequence: the prover, the verifier's
+        reference, the experiment drivers and the public API all funnel
+        through it.  ``hooks`` are called with the :class:`repro.cpu.core.Cpu`
+        after the session is attached and before it runs (the prover's
+        attack injectors, the adversary generator's corruptions).  Returns
         ``(ExecutionResult, SchemeMeasurement)``.
         """
         from repro.cpu.core import Cpu
@@ -265,6 +241,8 @@ class AttestationScheme(abc.ABC):
         cpu = Cpu(program, inputs=list(inputs), config=cpu_config)
         session = self.open_session(program, config)
         cpu.attach_monitor(session.observe)
+        for hook in hooks:
+            hook(cpu)
         result = cpu.run()
         return result, session.finalize()
 

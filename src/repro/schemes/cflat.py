@@ -12,17 +12,16 @@ parallel hardware.
 
 This module carries both halves of the reproduction's C-FLAT model:
 
-* the cost model (:class:`CFlatCostModel`, :class:`CFlatResult`,
-  :class:`CFlatAttestation`) applied to an uninstrumented execution --
+* the cost model (:class:`CFlatCostModel`, applied to an execution by
+  :meth:`CFlatScheme.cost_model`) --
   ``attested_cycles = baseline_cycles + events * per_event_cycles``;
 * the first-class measuring scheme (:class:`CFlatSession`,
   :class:`CFlatScheme`) that can be driven by a challenge, verified against
   the measurement database and swept in a campaign.  The session computes,
-  while streaming, exactly the measurement
-  :meth:`CFlatAttestation.measure_trace` computes from a recorded trace --
-  the cumulative SHA3-512 hash over every (Src, Dest) pair of every
-  control-flow event -- so the two stay interchangeable and the equivalence
-  is pinned by ``tests/test_schemes.py``.
+  while streaming, exactly the measurement :func:`measure_trace` computes
+  from a recorded trace -- the cumulative SHA3-512 hash over every
+  (Src, Dest) pair of every control-flow event -- and the equivalence is
+  pinned by ``tests/test_schemes.py``.
 
 The default cost constants are deliberately conservative (favourable to
 C-FLAT); the experiments sweep them to show the conclusion is insensitive to
@@ -33,11 +32,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Tuple
+from typing import Mapping, Optional
 
-from repro.cpu.core import Cpu, CpuConfig, ExecutionResult
 from repro.cpu.trace import ExecutionTrace, TraceNotRecordedError
-from repro.isa.assembler import Program
 from repro.schemes.base import (
     AttestationScheme,
     MeasurementSession,
@@ -85,77 +82,17 @@ class CFlatCostModel:
         return (events - skipped) * full + skipped * discounted
 
 
-@dataclass
-class CFlatResult:
-    """Outcome of attesting one execution with the C-FLAT cost model."""
+def measure_trace(trace: ExecutionTrace) -> bytes:
+    """The cumulative measurement C-FLAT computes over a recorded trace.
 
-    baseline_cycles: int
-    attested_cycles: int
-    control_flow_events: int
-    measurement: bytes
-    instrumented_instructions: int
-
-    @property
-    def overhead_cycles(self) -> int:
-        """Extra cycles caused by the software attestation."""
-        return self.attested_cycles - self.baseline_cycles
-
-    @property
-    def overhead_ratio(self) -> float:
-        """Relative slowdown (0.0 = no overhead)."""
-        if self.baseline_cycles == 0:
-            return 0.0
-        return self.overhead_cycles / self.baseline_cycles
-
-
-class CFlatAttestation:
-    """Software control-flow attestation applied to a program execution."""
-
-    def __init__(self, cost_model: Optional[CFlatCostModel] = None) -> None:
-        self.cost_model = cost_model or CFlatCostModel()
-
-    def instrumented_instruction_count(self, program: Program) -> int:
-        """Number of control-flow instructions that would be rewritten."""
-        return sum(1 for instr in program.instructions if instr.is_control_flow)
-
-    def measure_trace(self, trace: ExecutionTrace) -> bytes:
-        """The cumulative measurement C-FLAT would compute for ``trace``."""
-        hasher = hashlib.sha3_512()
-        for record in trace.control_flow_records:
-            src, dest = record.src_dest
-            hasher.update(src.to_bytes(4, "little") + dest.to_bytes(4, "little"))
-        return hasher.digest()
-
-    def attest(self, program: Program, result: ExecutionResult) -> CFlatResult:
-        """Apply the cost model to an existing (uninstrumented) execution.
-
-        The cycle accounting is :meth:`CFlatScheme.cost_model`'s, loop-event
-        discount included.
-        """
-        cost = CFlatScheme().cost_model(result.trace, self.cost_model)
-        return CFlatResult(
-            baseline_cycles=result.cycles,
-            attested_cycles=result.cycles + cost.overhead_cycles,
-            control_flow_events=cost.control_flow_events,
-            measurement=self.measure_trace(result.trace),
-            instrumented_instructions=self.instrumented_instruction_count(program),
-        )
-
-    def attest_program(
-        self,
-        program: Program,
-        inputs: Optional[List[int]] = None,
-        cpu_config: Optional[CpuConfig] = None,
-    ) -> Tuple[ExecutionResult, CFlatResult]:
-        """Run ``program`` and attest it with the C-FLAT cost model.
-
-        The measurement reads the run's control-flow records, so a given
-        ``cpu_config`` must collect the trace (the default does).
-        """
-        cpu = Cpu(program, inputs=inputs,
-                  config=cpu_config or CpuConfig(collect_trace=True))
-        result = cpu.run()
-        return result, self.attest(program, result)
+    The reference the streaming :class:`CFlatSession` must reproduce
+    byte for byte: SHA3-512 over every control-flow (Src, Dest) pair.
+    """
+    hasher = hashlib.sha3_512()
+    for record in trace.control_flow_records:
+        src, dest = record.src_dest
+        hasher.update(src.to_bytes(4, "little") + dest.to_bytes(4, "little"))
+    return hasher.digest()
 
 
 class CFlatSession(MeasurementSession):

@@ -1,9 +1,11 @@
 """LO-FAT as an :class:`repro.schemes.base.AttestationScheme` backend.
 
-Wraps :class:`repro.lofat.engine.LoFatEngine` -- the paper's hardware model --
-behind the scheme protocol.  Because the engine observes the pipeline in
-parallel, the cost model adds **zero** processor cycles; that is the paper's
-central performance claim and what E1/E11 compare against C-FLAT.
+:class:`repro.lofat.engine.LoFatEngine` -- the paper's hardware model --
+already speaks the session protocol, so :meth:`LoFatScheme.open_session`
+returns a fresh engine and the CPU feeds it directly.  Because the engine
+observes the pipeline in parallel, the cost model adds **zero** processor
+cycles; that is the paper's central performance claim and what E1/E11
+compare against C-FLAT.
 """
 
 from __future__ import annotations
@@ -17,40 +19,11 @@ from repro.schemes.base import (
     MeasurementSession,
     SchemeConfigError,
     SchemeCost,
-    SchemeMeasurement,
 )
 from repro.schemes.registry import register_scheme
 
-
-class LoFatSession(MeasurementSession):
-    """One attested execution observed by a fresh LO-FAT engine."""
-
-    def __init__(self, config: Optional[LoFatConfig] = None) -> None:
-        self.engine = LoFatEngine(config)
-
-    def observe(self, record) -> None:
-        self.engine.observe(record)
-
-    def observe_batch(self, records) -> None:
-        self.engine.observe_batch(records)
-
-    def observe_block(self, records, chunk, pairs) -> None:
-        self.engine.observe_block(records, chunk, pairs)
-
-    def sync_straight_line(self, next_pc, cycle) -> None:
-        self.engine.sync_straight_line(next_pc, cycle)
-
-    def finish_run(self, instructions, cycle) -> None:
-        self.engine.finish_run(instructions, cycle)
-
-    def finalize(self) -> SchemeMeasurement:
-        measurement = self.engine.finalize()
-        return SchemeMeasurement(
-            scheme=LoFatScheme.name,
-            measurement=measurement.measurement,
-            metadata=measurement.metadata,
-            stats=measurement.stats,
-        )
+# The engine implements the session protocol without importing this layer.
+MeasurementSession.register(LoFatEngine)
 
 
 @register_scheme
@@ -73,8 +46,8 @@ class LoFatScheme(AttestationScheme):
                 "invalid lofat parameters: %s" % error
             ) from None
 
-    def open_session(self, program, config=None) -> LoFatSession:
-        return LoFatSession(config)
+    def open_session(self, program, config=None) -> LoFatEngine:
+        return LoFatEngine(config)
 
     def cost_model(self, trace, config=None) -> SchemeCost:
         # The engine is a monitor on the retired-instruction stream: the

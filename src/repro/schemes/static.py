@@ -11,10 +11,7 @@ The measurement is execution-independent, so :meth:`reference_measurement`
 skips the replay entirely -- verification is O(hash) no matter the workload
 -- and ``reference_requires_execution`` is False, so the capture-once
 campaign pipeline never plans a benign capture for a static reference.
-
-The load-time measurement model itself (:class:`StaticAttestation`,
-:class:`StaticMeasurement`) lives here too, next to the scheme backend
-built on top of it.
+The image hash itself is :meth:`StaticSession.finalize`.
 """
 
 from __future__ import annotations
@@ -23,8 +20,6 @@ import hashlib
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from repro.cpu.core import ExecutionResult
-from repro.isa.assembler import Program
 from repro.schemes.base import (
     AttestationScheme,
     MeasurementSession,
@@ -33,51 +28,6 @@ from repro.schemes.base import (
     SchemeMeasurement,
 )
 from repro.schemes.registry import register_scheme
-
-
-@dataclass(frozen=True)
-class StaticMeasurement:
-    """The load-time measurement of a program image."""
-
-    digest: bytes
-    code_bytes: int
-    data_bytes: int
-
-    @property
-    def hex(self) -> str:
-        return self.digest.hex()
-
-
-class StaticAttestation:
-    """Binary attestation of the loaded program image."""
-
-    def measure(self, program: Program) -> StaticMeasurement:
-        """Hash the program image exactly as a boot-time measurement would."""
-        hasher = hashlib.sha3_256()
-        hasher.update(program.code_base.to_bytes(4, "little"))
-        hasher.update(program.code)
-        hasher.update(program.data_base.to_bytes(4, "little"))
-        hasher.update(program.data)
-        return StaticMeasurement(
-            digest=hasher.digest(),
-            code_bytes=len(program.code),
-            data_bytes=len(program.data),
-        )
-
-    def verify(self, program: Program, reported: StaticMeasurement) -> bool:
-        """Check a reported load-time measurement against the expected image."""
-        return self.measure(program).digest == reported.digest
-
-    def detects_runtime_attack(self, baseline: ExecutionResult,
-                               attacked: ExecutionResult,
-                               program: Program) -> bool:
-        """Whether static attestation notices a run-time control-flow attack.
-
-        The measurement only depends on the program image, which run-time
-        attacks leave untouched, so this always returns False when the code
-        was not modified -- that is precisely the gap LO-FAT fills.
-        """
-        return False
 
 
 @dataclass(frozen=True)
@@ -105,17 +55,23 @@ class StaticSession(MeasurementSession):
         pass
 
     def finalize(self) -> SchemeMeasurement:
+        """Hash the program image exactly as a boot-time measurement would."""
         if self._finalized is not None:
             return self._finalized
-        measured = StaticAttestation().measure(self.program)
+        program = self.program
+        hasher = hashlib.sha3_256()
+        hasher.update(program.code_base.to_bytes(4, "little"))
+        hasher.update(program.code)
+        hasher.update(program.data_base.to_bytes(4, "little"))
+        hasher.update(program.data)
         self._finalized = SchemeMeasurement(
             scheme=StaticScheme.name,
-            measurement=measured.digest,
+            measurement=hasher.digest(),
             stats={
                 "control_flow_events": 0,
                 "pairs_hashed": 0,
-                "code_bytes": measured.code_bytes,
-                "data_bytes": measured.data_bytes,
+                "code_bytes": len(program.code),
+                "data_bytes": len(program.data),
                 "processor_stall_cycles": 0,
             },
         )

@@ -168,9 +168,6 @@ class CampaignResult:
     spec_name: str
     verify_mode: str
     workers: int
-    #: The execution engine of the prover-side simulations ("legacy" or
-    #: "compiled").
-    engine: str = "compiled"
     #: Report-production pipeline: "capture" (two-stage, the default) or
     #: "live" (fused capture+attest per job).
     pipeline: str = "capture"
@@ -231,7 +228,6 @@ class CampaignResult:
             "campaign": self.spec_name,
             "verify_mode": self.verify_mode,
             "workers": self.workers,
-            "engine": self.engine,
             "pipeline": self.pipeline,
             "jobs": len(self.results),
             "ok": self.ok,
@@ -340,7 +336,6 @@ class CampaignRunner:
             spec_name=spec.name,
             verify_mode=spec.verify_mode,
             workers=max(1, workers),
-            engine=(cpu_config or CpuConfig()).engine,
             pipeline=pipeline,
             results=results,
             prover_seconds=prover_seconds,

@@ -11,7 +11,7 @@ import pytest
 from repro.attacks import all_attacks, get_attack
 from repro.attacks.injector import MemoryCorruption
 from repro.attestation import Prover, Verifier
-from repro.schemes import StaticAttestation
+from repro.schemes import get_scheme
 from repro.cpu.core import Cpu
 from repro.isa.assembler import assemble
 from repro.workloads import get_workload
@@ -167,17 +167,17 @@ class TestAttackEffects:
         scenario = get_attack(scenario_name)
         workload = get_workload(scenario.workload_name)
         program = workload.build()
-        static = StaticAttestation()
-        before = static.measure(program)
+        static = get_scheme("static")
+        cpus = []
+        _, attacked = static.measure_execution(
+            program, scenario.challenge_inputs,
+            hooks=[cpus.append, scenario.prover_hook(program)])
 
-        attacked_cpu = Cpu(program, inputs=list(scenario.challenge_inputs))
-        scenario.install_on(attacked_cpu, program)
-        attacked_cpu.run()
-
-        code_bytes = attacked_cpu.memory.load_bytes(
+        code_bytes = cpus[0].memory.load_bytes(
             program.code_base, len(program.code), check=False)
         assert code_bytes == program.code
-        assert static.measure(program).digest == before.digest
+        assert attacked.measurement == static.reference_measurement(
+            program, scenario.challenge_inputs).measurement
 
 
 class TestEndToEndDetection:

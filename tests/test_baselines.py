@@ -1,17 +1,27 @@
-"""Unit tests for the C-FLAT and static-attestation baseline models.
+"""Unit tests for the C-FLAT and static-attestation baselines.
 
-The model classes live in :mod:`repro.schemes`; the historical
+Both baselines are :class:`repro.schemes.AttestationScheme` backends and are
+measured here through the one run-and-measure sequence,
+:meth:`~repro.schemes.AttestationScheme.measure_execution`.  The historical
 ``repro.baselines`` package (a deprecation shim after the models moved) has
 been removed, and :class:`TestBaselinesShimRemoved` pins its absence.
 """
 
 import pytest
 
-from repro.schemes.cflat import CFlatAttestation, CFlatCostModel
-from repro.schemes.static import StaticAttestation
-from repro.cpu.core import Cpu, CpuConfig
+from repro.attacks import get_attack
+from repro.cpu.core import CpuConfig
 from repro.isa.assembler import assemble
+from repro.schemes import SchemeCost, get_scheme
+from repro.schemes.cflat import CFlatCostModel, measure_trace
 from repro.workloads import get_workload
+
+
+def measure(scheme, workload_name, inputs=None, **kwargs):
+    workload = get_workload(workload_name)
+    program = workload.build()
+    return get_scheme(scheme).measure_execution(
+        program, workload.inputs if inputs is None else inputs, **kwargs)
 
 
 class TestBaselinesShimRemoved:
@@ -38,100 +48,97 @@ class TestCFlatCostModel:
         assert model.overhead_cycles(4, loop_events=100) <= model.overhead_cycles(4)
 
 
-class TestCFlatAttestation:
+class TestCFlatScheme:
     def test_overhead_linear_in_events(self):
         """The paper's comparison point: C-FLAT cost grows with event count."""
-        cflat = CFlatAttestation()
-        few = get_workload("figure4_loop").with_inputs([2])
-        many = get_workload("figure4_loop").with_inputs([40])
-        _, result_few = cflat.attest_program(few.build(), inputs=few.inputs)
-        _, result_many = cflat.attest_program(many.build(), inputs=many.inputs)
-        assert result_many.control_flow_events > result_few.control_flow_events
-        assert result_many.overhead_cycles > result_few.overhead_cycles
-        per_event_few = result_few.overhead_cycles / result_few.control_flow_events
-        per_event_many = result_many.overhead_cycles / result_many.control_flow_events
+        _, few = measure("cflat", "figure4_loop", inputs=[2])
+        _, many = measure("cflat", "figure4_loop", inputs=[40])
+        few, many = few.stats, many.stats
+        assert many["control_flow_events"] > few["control_flow_events"]
+        assert many["overhead_cycles"] > few["overhead_cycles"]
+        per_event_few = few["overhead_cycles"] / few["control_flow_events"]
+        per_event_many = many["overhead_cycles"] / many["control_flow_events"]
         assert per_event_few == pytest.approx(per_event_many)
+        assert per_event_few == CFlatCostModel().per_event_cycles
 
     def test_overhead_is_positive_and_nonzero(self):
-        workload = get_workload("crc32")
-        cflat = CFlatAttestation()
-        _, outcome = cflat.attest_program(workload.build(), inputs=workload.inputs)
-        assert outcome.overhead_cycles > 0
-        assert outcome.overhead_ratio > 0.0
+        result, measured = measure("cflat", "crc32")
+        assert measured.stats["overhead_cycles"] > 0
+        assert measured.stats["attested_cycles"] == \
+            result.cycles + measured.stats["overhead_cycles"]
+        assert get_scheme("cflat").cost_model(result.trace).overhead_ratio > 0.0
 
     def test_measurement_matches_trace_pairs(self):
-        workload = get_workload("auth_check")
-        program = workload.build()
-        cpu = Cpu(program, inputs=list(workload.inputs),
-                  config=CpuConfig(collect_trace=True))
-        result = cpu.run()
-        cflat = CFlatAttestation()
-        outcome = cflat.attest(program, result)
-        assert outcome.measurement == cflat.measure_trace(result.trace)
-        assert len(outcome.measurement) == 64
+        result, measured = measure("cflat", "auth_check",
+                                   cpu_config=CpuConfig(collect_trace=True))
+        assert measured.measurement == measure_trace(result.trace)
+        assert len(measured.measurement) == 64
 
     def test_measurement_detects_divergent_paths(self):
-        workload = get_workload("auth_check")
-        program = workload.build()
-        cflat = CFlatAttestation()
-        traced = CpuConfig(collect_trace=True)
-        good = Cpu(program, inputs=[4242], config=traced).run()
-        bad = Cpu(program, inputs=[1], config=traced).run()
-        assert cflat.measure_trace(good.trace) != cflat.measure_trace(bad.trace)
+        _, good = measure("cflat", "auth_check", inputs=[4242])
+        _, bad = measure("cflat", "auth_check", inputs=[1])
+        assert good.measurement != bad.measurement
 
-    def test_instrumented_instruction_count(self):
-        program = assemble("""
-        _start:
-            beq a0, a1, out
-            addi a0, a0, 1
-        out:
-            jal zero, out
-        """)
-        assert CFlatAttestation().instrumented_instruction_count(program) == 2
+    def test_attack_changes_measurement(self):
+        scenario = get_attack("auth_flag_flip")
+        program = get_workload(scenario.workload_name).build()
+        cflat = get_scheme("cflat")
+        benign_result, benign = cflat.measure_execution(
+            program, scenario.challenge_inputs)
+        attacked_result, attacked = cflat.measure_execution(
+            program, scenario.challenge_inputs,
+            hooks=[scenario.prover_hook(program)])
+        assert attacked_result.output != benign_result.output
+        assert attacked.measurement != benign.measurement
 
     def test_zero_baseline_cycles_overhead_ratio(self):
-        from repro.schemes.cflat import CFlatResult
-        result = CFlatResult(baseline_cycles=0, attested_cycles=0,
-                             control_flow_events=0, measurement=b"",
-                             instrumented_instructions=0)
-        assert result.overhead_ratio == 0.0
+        cost = SchemeCost(scheme="cflat", baseline_cycles=0, attested_cycles=0)
+        assert cost.overhead_ratio == 0.0
 
 
-class TestStaticAttestation:
+def image_hash(program):
+    return get_scheme("static").open_session(program).finalize()
+
+
+class TestStaticScheme:
     def test_measurement_is_stable(self):
         program = get_workload("syringe_pump").build()
-        static = StaticAttestation()
-        assert static.measure(program).digest == static.measure(program).digest
+        assert image_hash(program).measurement == image_hash(program).measurement
 
     def test_measurement_changes_with_binary(self):
-        static = StaticAttestation()
-        a = static.measure(assemble("nop"))
-        b = static.measure(assemble("addi a0, a0, 1"))
-        assert a.digest != b.digest
+        a = image_hash(assemble("nop"))
+        b = image_hash(assemble("addi a0, a0, 1"))
+        assert a.measurement != b.measurement
 
     def test_verify_accepts_genuine_image(self):
         program = get_workload("auth_check").build()
-        static = StaticAttestation()
-        assert static.verify(program, static.measure(program))
+        static = get_scheme("static")
+        _, measured = static.measure_execution(program, [4242])
+        reference = static.reference_measurement(program, [4242])
+        assert static.verify(
+            measured, (reference.measurement, reference.metadata_bytes))
 
     def test_verify_rejects_other_image(self):
-        static = StaticAttestation()
-        a = get_workload("auth_check").build()
-        b = get_workload("dispatcher").build()
-        assert not static.verify(b, static.measure(a))
+        static = get_scheme("static")
+        a = image_hash(get_workload("auth_check").build())
+        b = image_hash(get_workload("dispatcher").build())
+        assert not static.verify(b, (a.measurement, a.metadata_bytes))
 
     def test_static_attestation_misses_runtime_attacks(self):
         """The motivating gap: run-time attacks leave the image unchanged."""
-        workload = get_workload("auth_check")
-        program = workload.build()
-        static = StaticAttestation()
-        benign = Cpu(program, inputs=[4242]).run()
-        attacked = Cpu(program, inputs=[1]).run()
-        assert static.detects_runtime_attack(benign, attacked, program) is False
+        scenario = get_attack("auth_flag_flip")
+        program = get_workload(scenario.workload_name).build()
+        static = get_scheme("static")
+        benign_result, benign = static.measure_execution(
+            program, scenario.challenge_inputs)
+        attacked_result, attacked = static.measure_execution(
+            program, scenario.challenge_inputs,
+            hooks=[scenario.prover_hook(program)])
+        assert attacked_result.output != benign_result.output
+        assert attacked.measurement == benign.measurement
 
     def test_measurement_includes_data_section(self):
-        static = StaticAttestation()
-        a = static.measure(assemble(".data\n.word 1\n.text\nnop"))
-        b = static.measure(assemble(".data\n.word 2\n.text\nnop"))
-        assert a.digest != b.digest
-        assert a.data_bytes == 4
+        a = image_hash(assemble(".data\n.word 1\n.text\nnop"))
+        b = image_hash(assemble(".data\n.word 2\n.text\nnop"))
+        assert a.measurement != b.measurement
+        assert a.stats["data_bytes"] == 4

@@ -13,10 +13,16 @@ import pytest
 from repro.cache import DigestCache
 from repro.cpu.core import DECODE_CACHE, Cpu, CpuConfig
 from repro.cpu.trace import StreamingTrace, TraceNotRecordedError
-from repro.lofat.engine import attest_execution
+from repro.schemes import get_scheme
 from repro.workloads import all_workloads
 
 WORKLOAD_NAMES = [workload.name for workload in all_workloads()]
+
+
+def _attest(program, inputs, collect_trace):
+    """One LO-FAT-attested run, its trace collected or streamed."""
+    return get_scheme("lofat").measure_execution(
+        program, inputs, cpu_config=CpuConfig(collect_trace=collect_trace))
 
 
 def _run(program, inputs):
@@ -50,10 +56,8 @@ def test_measurements_identical_cold_and_warm(name):
     workload = next(w for w in all_workloads() if w.name == name)
     program = workload.build()
     DECODE_CACHE.clear()
-    _, cold = attest_execution(
-        program, inputs=list(workload.inputs), collect_trace=True)
-    _, warm = attest_execution(
-        program, inputs=list(workload.inputs), collect_trace=True)
+    _, cold = _attest(program, workload.inputs, collect_trace=True)
+    _, warm = _attest(program, workload.inputs, collect_trace=True)
     assert cold.measurement == warm.measurement
     assert cold.metadata.to_bytes() == warm.metadata.to_bytes()
 
@@ -62,10 +66,8 @@ def test_measurements_identical_cold_and_warm(name):
 def test_streaming_trace_measurement_identical(name):
     workload = next(w for w in all_workloads() if w.name == name)
     program = workload.build()
-    collected_result, collected = attest_execution(
-        program, inputs=list(workload.inputs), collect_trace=True)
-    streamed_result, streamed = attest_execution(
-        program, inputs=list(workload.inputs), collect_trace=False)
+    collected_result, collected = _attest(program, workload.inputs, collect_trace=True)
+    streamed_result, streamed = _attest(program, workload.inputs, collect_trace=False)
 
     assert streamed.measurement == collected.measurement
     assert streamed.metadata.to_bytes() == collected.metadata.to_bytes()
@@ -77,8 +79,7 @@ def test_streaming_trace_measurement_identical(name):
 
 def test_streaming_trace_refuses_record_access():
     workload = all_workloads()[0]
-    result, _ = attest_execution(
-        workload.build(), inputs=list(workload.inputs), collect_trace=False)
+    result, _ = _attest(workload.build(), workload.inputs, collect_trace=False)
     with pytest.raises(TraceNotRecordedError):
         list(result.trace)
     with pytest.raises(TraceNotRecordedError):

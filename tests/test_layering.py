@@ -1,10 +1,17 @@
-"""The protocol and scheme layers never import the service layer.
+"""Imports flow down the layer stack, never back up.
 
-:mod:`repro.service` builds on :mod:`repro.attestation` and
-:mod:`repro.schemes` (servers, campaigns and the measurement database call
-the verifier and the scheme backends); an import the other way would make
-the verifier depend on its own callers.  Every module under those two
-packages is parsed, function-local imports included.
+* :mod:`repro.attestation` and :mod:`repro.schemes` never import the
+  service layer: :mod:`repro.service` builds on them (servers, campaigns
+  and the measurement database call the verifier and the scheme backends),
+  and an import the other way would make the verifier depend on its own
+  callers.
+* :mod:`repro.cpu` and :mod:`repro.lofat` import none of the layers above
+  them (schemes, attestation, service, analysis).  The one measurement
+  result type lives in :mod:`repro.lofat.engine` and is re-exported by
+  :mod:`repro.schemes`, so the dependency stays scheme -> engine.
+
+Every module under the checked packages is parsed, function-local imports
+included.
 """
 
 from __future__ import annotations
@@ -15,11 +22,19 @@ from pathlib import Path
 import pytest
 
 PACKAGE_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
-LOWER_PACKAGES = ("attestation", "schemes")
-FORBIDDEN = "repro.service"
+
+#: package -> the packages none of its modules may import.
+FORBIDDEN = {
+    "attestation": ("repro.service",),
+    "schemes": ("repro.service",),
+    "cpu": ("repro.schemes", "repro.attestation", "repro.service",
+            "repro.analysis"),
+    "lofat": ("repro.schemes", "repro.attestation", "repro.service",
+              "repro.analysis"),
+}
 
 MODULES = sorted(
-    path for package in LOWER_PACKAGES
+    (package, path) for package in FORBIDDEN
     for path in (PACKAGE_ROOT / package).rglob("*.py"))
 
 
@@ -40,16 +55,20 @@ def imported_modules(path: Path):
 
 
 def test_modules_found():
-    assert any(path.name == "verifier.py" for path in MODULES)
-    assert any(path.parent.name == "schemes" for path in MODULES)
+    found = {(package, path.name) for package, path in MODULES}
+    assert ("attestation", "verifier.py") in found
+    assert ("cpu", "core.py") in found
+    assert ("lofat", "engine.py") in found
+    assert any(package == "schemes" for package, _ in found)
 
 
 @pytest.mark.parametrize(
-    "path", MODULES,
-    ids=[str(path.relative_to(PACKAGE_ROOT)) for path in MODULES])
-def test_no_service_import(path):
+    "package, path", MODULES,
+    ids=[str(path.relative_to(PACKAGE_ROOT)) for _, path in MODULES])
+def test_no_upward_import(package, path):
     offending = [
         name for name in imported_modules(path)
-        if name == FORBIDDEN or name.startswith(FORBIDDEN + ".")
+        for forbidden in FORBIDDEN[package]
+        if name == forbidden or name.startswith(forbidden + ".")
     ]
     assert not offending, offending

@@ -5,17 +5,17 @@ import pytest
 from repro.attestation import Prover, Verifier
 from repro.cpu.core import Cpu
 from repro.isa.assembler import assemble
-from repro.lofat.engine import LoFatEngine, attest_execution
+from repro.lofat.engine import LoFatEngine
 from repro.lofat.metadata import LoopMetadata
+from repro.schemes import get_scheme
 from repro.workloads import get_workload
 
 
 def attest(workload_name, inputs=None, config=None):
     workload = get_workload(workload_name)
-    program = workload.build()
-    return attest_execution(
-        program,
-        inputs=list(workload.inputs) if inputs is None else list(inputs),
+    return get_scheme("lofat").measure_execution(
+        workload.build(),
+        workload.inputs if inputs is None else inputs,
         config=config,
     )
 
@@ -205,7 +205,7 @@ class TestLongIndirectPaths:
 
     def test_metadata_serialises_and_report_verifies(self):
         program = assemble(DEEP_NEST_MANY_RETURNS)
-        _, measurement = attest_execution(program)
+        _, measurement = get_scheme("lofat").measure_execution(program, [])
         assert measurement.stats["filter"]["loops_beyond_max_depth"] > 0
         longest = max((path.encoding for loop in measurement.metadata for path in loop.paths),
                       key=lambda encoding: len(encoding.indirect_codes))

@@ -16,10 +16,10 @@ from hypothesis import given, settings, strategies as st
 from repro.cpu.core import Cpu
 from repro.isa.assembler import assemble
 from repro.lofat.config import LoFatConfig
-from repro.lofat.engine import attest_execution
 from repro.lofat.loop_counter_memory import LoopCounterMemory
 from repro.lofat.path_encoder import LoopPathEncoder, PathEncoding
 from repro.lofat.target_cam import TargetCam
+from repro.schemes import get_scheme
 from repro.workloads import get_workload
 from repro.workloads.generator import SyntheticWorkloadGenerator
 
@@ -182,8 +182,8 @@ class TestMeasurementProperties:
     def test_figure4_measurement_deterministic_per_input(self, iterations):
         workload = get_workload("figure4_loop")
         program = workload.build()
-        _, a = attest_execution(program, inputs=[iterations])
-        _, b = attest_execution(program, inputs=[iterations])
+        _, a = get_scheme("lofat").measure_execution(program, [iterations])
+        _, b = get_scheme("lofat").measure_execution(program, [iterations])
         assert a.measurement == b.measurement
         assert a.metadata.to_bytes() == b.metadata.to_bytes()
 
@@ -193,7 +193,7 @@ class TestMeasurementProperties:
         """hashed pairs + compressed pairs == control-flow events, always."""
         workload = get_workload("figure4_loop")
         program = workload.build()
-        result, measurement = attest_execution(program, inputs=[iterations])
+        result, measurement = get_scheme("lofat").measure_execution(program, [iterations])
         stats = measurement.stats
         assert (stats["pairs_hashed"] + stats["pairs_compressed"]
                 == result.trace.control_flow_events)
@@ -204,7 +204,7 @@ class TestMeasurementProperties:
         """The figure-4 loop reports exactly the requested iteration count."""
         workload = get_workload("figure4_loop")
         program = workload.build()
-        _, measurement = attest_execution(program, inputs=[iterations])
+        _, measurement = get_scheme("lofat").measure_execution(program, [iterations])
         loop_records = measurement.metadata.loops
         assert len(loop_records) == (1 if iterations >= 1 else 0)
         if loop_records:
@@ -244,7 +244,7 @@ class TestSyntheticGeneratorProperties:
             seed=seed,
         )
         program = assemble(generator.source())
-        result, measurement = attest_execution(program)
+        result, measurement = get_scheme("lofat").measure_execution(program, [])
         stats = measurement.stats
         assert (stats["pairs_hashed"] + stats["pairs_compressed"]
                 == result.trace.control_flow_events)

@@ -3,7 +3,7 @@
 import pytest
 
 import repro
-from repro import attest_workload, all_workloads
+from repro import SchemeMeasurement, attest_workload, all_workloads, get_scheme
 from repro.lofat import LoFatConfig
 
 
@@ -18,8 +18,18 @@ class TestPublicApi:
     def test_attest_workload_defaults(self):
         result, measurement = attest_workload("figure4_loop")
         assert result.exit_code == 0
+        assert measurement.scheme == "lofat"
         assert len(measurement.measurement) == 64
         assert len(measurement.metadata) == 1
+
+    @pytest.mark.parametrize("scheme", ["lofat", "cflat", "static"])
+    def test_attest_workload_result_type_per_scheme(self, scheme):
+        result, measurement = attest_workload("figure4_loop", scheme=scheme)
+        assert result.exit_code == 0
+        assert type(measurement) is SchemeMeasurement
+        assert measurement.scheme == scheme
+        assert len(measurement.measurement) == \
+            get_scheme(scheme).measurement_bytes
 
     def test_attest_workload_with_custom_inputs(self):
         from repro.workloads.figure4 import reference_output

@@ -1,17 +1,20 @@
 """Tests for the unified attestation-scheme API and its three backends."""
 
+import hashlib
+
 import pytest
 
 from repro.attestation import Prover, Verifier
 from repro.attestation.protocol import AttestationChallenge
-from repro.schemes.cflat import CFlatAttestation, CFlatCostModel
-from repro.schemes.static import StaticAttestation
+from repro.schemes.cflat import CFlatCostModel, measure_trace
 from repro.service.database import MeasurementDatabase
-from repro.cpu.core import Cpu, CpuConfig
+from repro.cpu.core import CpuConfig
+from repro.lofat.engine import LoFatEngine
 from repro.schemes import (
     SCHEME_REGISTRY,
     AttestationScheme,
     DuplicateSchemeError,
+    MeasurementSession,
     SchemeConfigError,
     SchemeNotFoundError,
     SchemeRegistry,
@@ -122,27 +125,30 @@ def _measure(scheme_name, workload_name="figure4_loop", inputs=None):
     workload = get_workload(workload_name)
     program = workload.build()
     scheme = get_scheme(scheme_name)
-    session = scheme.open_session(program, scheme.default_config())
-    cpu = Cpu(program, inputs=list(workload.inputs if inputs is None else inputs),
-              config=CpuConfig(collect_trace=True))
-    cpu.attach_monitor(session.observe)
-    result = cpu.run()
-    return program, result, session.finalize()
+    result, measured = scheme.measure_execution(
+        program, workload.inputs if inputs is None else inputs,
+        config=scheme.default_config(),
+        cpu_config=CpuConfig(collect_trace=True))
+    return program, result, measured
 
 
 class TestSessions:
-    def test_lofat_session_matches_engine(self):
-        from repro.lofat.engine import attest_execution
+    def test_lofat_session_is_the_engine(self):
+        """The lofat scheme hands out the engine itself; its per-record
+        (traced) and compiled measurements agree."""
         program, _, measured = _measure("lofat", inputs=[4])
-        _, direct = attest_execution(program, inputs=[4])
-        assert measured.measurement == direct.measurement
-        assert measured.metadata.to_bytes() == direct.metadata.to_bytes()
+        session = get_scheme("lofat").open_session(program)
+        assert type(session) is LoFatEngine
+        assert isinstance(session, MeasurementSession)
+        _, compiled = get_scheme("lofat").measure_execution(program, [4])
+        assert measured.scheme == compiled.scheme == "lofat"
+        assert measured.measurement == compiled.measurement
+        assert measured.metadata.to_bytes() == compiled.metadata.to_bytes()
 
     def test_cflat_session_matches_trace_measurement(self):
         """The streaming session computes exactly measure_trace's hash."""
         program, result, measured = _measure("cflat")
-        cflat = CFlatAttestation()
-        assert measured.measurement == cflat.measure_trace(result.trace)
+        assert measured.measurement == measure_trace(result.trace)
         assert measured.stats["control_flow_events"] == \
                result.trace.control_flow_events
         assert measured.stats["overhead_cycles"] == \
@@ -151,7 +157,9 @@ class TestSessions:
 
     def test_static_session_matches_image_hash(self):
         program, _, measured = _measure("static")
-        assert measured.measurement == StaticAttestation().measure(program).digest
+        image = (program.code_base.to_bytes(4, "little") + program.code
+                 + program.data_base.to_bytes(4, "little") + program.data)
+        assert measured.measurement == hashlib.sha3_256(image).digest()
         assert len(measured.measurement) == 32
 
     def test_reference_measurement_matches_session(self):
@@ -200,11 +208,8 @@ class TestCostModels:
         discounted_config = scheme.configure({"loop_event_discount": 1.0})
 
         _, result, full = _measure("cflat", inputs=[16])
-        session = scheme.open_session(program, discounted_config)
-        cpu = Cpu(program, inputs=[16])
-        cpu.attach_monitor(session.observe)
-        cpu.run()
-        discounted = session.finalize()
+        _, discounted = scheme.measure_execution(
+            program, [16], config=discounted_config)
         assert discounted.measurement == full.measurement  # same hash
         assert discounted.stats["loop_events"] > 0
         assert discounted.stats["overhead_cycles"] < \

@@ -4,7 +4,6 @@ import pytest
 
 from repro.attestation import Prover, Verifier
 from repro.lofat.config import LoFatConfig
-from repro.lofat.engine import attest_execution
 from repro.schemes import get_scheme
 from repro.service import MeasurementDatabase
 from repro.workloads import get_workload
@@ -62,7 +61,7 @@ class TestHitMissSemantics:
         database = MeasurementDatabase()
         measurement, metadata, _ = database.lookup_or_compute(
             program, (5,), LoFatConfig())
-        _, direct = attest_execution(program, inputs=[5])
+        _, direct = get_scheme("lofat").measure_execution(program, [5])
         assert measurement == direct.measurement
         assert metadata == direct.metadata.to_bytes()
 
@@ -117,7 +116,7 @@ class TestTraceKeys:
             program, (5,), scheme="lofat", capture=capture)
         assert not hit
         # The replayed reference equals the live one.
-        _, direct = attest_execution(program, inputs=[5])
+        _, direct = get_scheme("lofat").measure_execution(program, [5])
         assert measurement == direct.measurement
         assert metadata == direct.metadata.to_bytes()
         # Stored under the trace key too: a different (program, inputs)

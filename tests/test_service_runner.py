@@ -217,11 +217,14 @@ class TestJobResults:
         result = CampaignRunner().run(small_spec)
         summary = format_campaign_summary(result)
         assert "attacks detected : 2/2" in summary
-        assert "execution path   : compiled, capture/attest pipeline" in summary
+        # The pipeline is reported, the CPU engine is not: capture-pipeline
+        # replays run no CPU, so a configured engine would name no run.
+        assert "execution path   : capture/attest pipeline" in summary
         legacy = CampaignRunner(cpu_config=CpuConfig(engine="legacy")).run(
             small_spec, pipeline="live")
-        assert "execution path   : legacy, live pipeline" in \
+        assert "execution path   : live pipeline" in \
             format_campaign_summary(legacy)
+        assert "engine" not in legacy.summary()
         table = format_campaign_table(result, limit=3)
         assert "more jobs" in table
         assert format_campaign_failures(result) == "no unexpected job outcomes"
