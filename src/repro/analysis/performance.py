@@ -6,22 +6,23 @@ parallel with the processor, it does not incur any performance overhead for
 the attested software, as opposed to C-FLAT which incurs attestation overhead
 that is linearly dependent on the number of control-flow events."
 
-For every workload we run the *same* execution three ways:
+For every workload we attest the *same* execution twice:
 
-1. uninstrumented, no attestation (the baseline cycle count);
-2. with the LO-FAT engine attached as a parallel monitor (the cycle count is
-   identical by construction -- the comparison verifies that);
-3. with the C-FLAT software cost model applied (baseline + per-event cost).
+1. with the LO-FAT engine attached as a parallel monitor (the cycle count is
+   identical to the core's by construction -- the comparison verifies that);
+2. with the C-FLAT session attached, whose ``processor_stall_cycles`` stat is
+   the software cost model's per-event charge on top of the core's cycles
+   (the baseline: a monitor never changes the core's own cycle count).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.schemes import get_scheme
 from repro.schemes.cflat import CFlatCostModel
-from repro.cpu.core import Cpu, CpuConfig
+from repro.cpu.core import CpuConfig
 from repro.lofat.config import LoFatConfig
 from repro.workloads.common import Workload
 
@@ -94,28 +95,24 @@ def compare_workload(
     """Measure one workload under no attestation, LO-FAT and C-FLAT."""
     program = workload.build()
 
-    # 1. Baseline: no attestation attached.  C-FLAT's loop-event discount
-    #    needs the per-record trace, kept whatever config the caller passes.
-    baseline_cpu = Cpu(
-        program, inputs=list(workload.inputs),
-        config=replace(cpu_config or CpuConfig(), collect_trace=True))
-    baseline = baseline_cpu.run()
-
-    # 2. LO-FAT: same execution with the hardware monitor attached.
+    # LO-FAT: the execution with the hardware monitor attached.
     lofat_result, measurement = get_scheme("lofat").measure_execution(
         program, workload.inputs, config=lofat_config, cpu_config=cpu_config)
 
-    # 3. C-FLAT: software attestation cost model over the same trace.
-    cflat = get_scheme("cflat").cost_model(baseline.trace, cflat_cost)
+    # C-FLAT: the same execution under the software attestation runtime;
+    # its result's cycles are the core's own, i.e. the baseline.
+    baseline, cflat = get_scheme("cflat").measure_execution(
+        program, workload.inputs, config=cflat_cost, cpu_config=cpu_config)
 
     stats = measurement.stats
     return WorkloadComparison(
         name=workload.name,
         instructions=baseline.instructions,
         baseline_cycles=baseline.cycles,
-        control_flow_events=baseline.trace.control_flow_events,
+        control_flow_events=cflat.stats["control_flow_events"],
         lofat_cycles=lofat_result.cycles,
-        cflat_cycles=baseline.cycles + cflat.overhead_cycles,
+        cflat_cycles=(baseline.cycles
+                      + cflat.stats["processor_stall_cycles"]),
         lofat_internal_latency=stats["internal_latency_cycles"],
         pairs_hashed=stats["pairs_hashed"],
         pairs_compressed=stats["pairs_compressed"],

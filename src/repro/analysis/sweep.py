@@ -147,7 +147,7 @@ def hash_density_sweep(
             workload.build(), workload.inputs, config=config,
             cpu_config=cpu_config)
         hash_stats = measurement.stats["hash_engine"]
-        events = result.trace.control_flow_events
+        events = measurement.stats["control_flow_events"]
         rows.append({
             "workload": workload.name,
             "instructions": result.instructions,

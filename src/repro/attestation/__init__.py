@@ -9,7 +9,7 @@ reports carry a ``scheme`` field, and prover/verifier resolve the backend
   substitution rationale).
 * :mod:`repro.attestation.protocol` -- the wire messages exchanged between
   verifier and prover (challenge, report), round-tripping via
-  ``to_bytes``/``from_bytes``/``to_json``.
+  ``to_bytes``/``from_bytes``.
 * :mod:`repro.attestation.framing` -- the length-prefixed TCP framing and
   version negotiation those messages travel under when the protocol runs
   over a socket (see :mod:`repro.service.server` and ``docs/SERVER.md``).

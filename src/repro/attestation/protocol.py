@@ -8,13 +8,11 @@ path ``P = (A, L)`` and the report signature ``R = sign(P || N; sk)``.
 Both messages carry a ``scheme`` field (the registry name of the attestation
 backend, see :mod:`repro.schemes`) so one wire format serves LO-FAT, C-FLAT
 and static attestation alike, and both round-trip bidirectionally:
-``to_bytes`` / ``from_bytes`` are byte-exact inverses, ``to_json`` /
-``from_json`` carry the same content for logs and transcripts.
+``to_bytes`` / ``from_bytes`` are byte-exact inverses.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -94,25 +92,6 @@ class AttestationChallenge:
             inputs=tuple(inputs),
             nonce=nonce,
             scheme=scheme.decode("utf-8"),
-        )
-
-    def to_json(self) -> str:
-        """JSON rendering (logs and transcripts; inverse is :meth:`from_json`)."""
-        return json.dumps({
-            "scheme": self.scheme,
-            "program_id": self.program_id,
-            "inputs": list(self.inputs),
-            "nonce": self.nonce.hex(),
-        }, indent=2)
-
-    @classmethod
-    def from_json(cls, payload: str) -> "AttestationChallenge":
-        document = json.loads(payload)
-        return cls(
-            program_id=str(document["program_id"]),
-            inputs=tuple(int(v) for v in document["inputs"]),
-            nonce=bytes.fromhex(document["nonce"]),
-            scheme=str(document.get("scheme", "lofat")),
         )
 
 
@@ -204,33 +183,6 @@ class AttestationReport:
             exit_code=exit_code,
             output=output.decode("utf-8"),
             scheme=scheme.decode("utf-8"),
-        )
-
-    def to_json(self) -> str:
-        """JSON rendering (logs and transcripts; inverse is :meth:`from_json`)."""
-        return json.dumps({
-            "scheme": self.scheme,
-            "program_id": self.program_id,
-            "measurement": self.measurement.hex(),
-            "metadata": self.metadata.to_bytes().hex(),
-            "nonce": self.nonce.hex(),
-            "signature": self.signature.hex(),
-            "exit_code": self.exit_code,
-            "output": self.output,
-        }, indent=2)
-
-    @classmethod
-    def from_json(cls, payload: str) -> "AttestationReport":
-        document = json.loads(payload)
-        return cls(
-            program_id=str(document["program_id"]),
-            measurement=bytes.fromhex(document["measurement"]),
-            metadata=LoopMetadata.from_bytes(bytes.fromhex(document["metadata"])),
-            nonce=bytes.fromhex(document["nonce"]),
-            signature=bytes.fromhex(document["signature"]),
-            exit_code=int(document.get("exit_code", 0)),
-            output=str(document.get("output", "")),
-            scheme=str(document.get("scheme", "lofat")),
         )
 
     def describe(self) -> dict:

@@ -72,7 +72,8 @@ from repro.analysis.report import format_table
 from repro.analysis.sweep import area_sweep
 from repro.attacks import all_attacks, get_attack
 from repro.attestation import Prover, Verifier
-from repro.cpu.core import CpuConfig, run_program
+from repro.cpu.core import Cpu, CpuConfig, run_program
+from repro.cpu.trace import ControlFlowTrace
 from repro.lofat.area_model import AreaModel, VIRTEX7_XC7Z020
 from repro.lofat.config import LoFatConfig
 from repro.schemes import all_schemes, get_scheme, scheme_names
@@ -118,12 +119,15 @@ def _resolve_inputs(args: argparse.Namespace, workload) -> List[int]:
 def _cmd_run(args: argparse.Namespace) -> int:
     workload = get_workload(args.workload)
     inputs = _resolve_inputs(args, workload)
-    result = run_program(workload.build(), inputs=inputs)
+    cpu = Cpu(workload.build(), inputs=inputs)
+    capture = ControlFlowTrace()
+    cpu.attach_monitor(capture.observe)
+    result = cpu.run()
     print("output      : %s" % result.output)
     print("exit code   : %d" % result.exit_code)
     print("instructions: %d" % result.instructions)
     print("cycles      : %d" % result.cycles)
-    print("cf events   : %d" % result.trace.control_flow_events)
+    print("cf events   : %d" % capture.control_flow_events)
     return result.exit_code
 
 

@@ -102,7 +102,7 @@ class CompiledBlock:
     __slots__ = (
         "head", "members", "fn", "size", "templates", "n_internal",
         "term_cf", "term_template", "cf_total", "static_chunk",
-        "static_pairs", "kind_items", "packed",
+        "static_pairs", "packed",
     )
 
     def __init__(
@@ -138,21 +138,12 @@ class CompiledBlock:
             src.to_bytes(4, "little") + dest.to_bytes(4, "little")
             for src, dest in pairs
         )
-        #: Streaming-trace kind counters for a full (terminator-reached)
-        #: execution; internal jumps are always plain direct jumps.
-        kinds: Dict[str, int] = {}
-        if self.n_internal:
-            kinds[BranchKind.DIRECT_JUMP.value] = self.n_internal
-        if term_cf and term_template is not None:
-            kind_name = term_template[3].value
-            kinds[kind_name] = kinds.get(kind_name, 0) + 1
-        self.kind_items = tuple(kinds.items())
         #: Hot-path view for the trampoline: every per-step field in one
         #: tuple, fetched with a single attribute access per block step.
         self.packed = (
             fn, size, self.templates, self.n_internal, self.term_cf,
             self.term_template, self.cf_total, self.static_chunk,
-            self.static_pairs, self.kind_items,
+            self.static_pairs,
         )
 
 

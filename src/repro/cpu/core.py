@@ -27,13 +27,7 @@ from repro.cache import DigestCache
 from repro.cpu.exceptions import IllegalInstructionError, OutOfFuelError
 from repro.cpu.memory import Memory, MemoryRegion, Permissions
 from repro.cpu.syscalls import SyscallHandler
-from repro.cpu.trace import (
-    BranchKind,
-    ExecutionTrace,
-    StreamingTrace,
-    TraceRecord,
-    classify_branch,
-)
+from repro.cpu.trace import ExecutionTrace, TraceRecord, classify_branch
 from repro.isa.assembler import Program
 from repro.isa.encoding import EncodingError, decode
 from repro.isa.instructions import Instruction
@@ -68,12 +62,11 @@ class CpuConfig:
     data_region_size: int = 0x2_0000
     #: Maximum number of retired instructions before aborting.
     max_instructions: int = 2_000_000
-    #: Keep the full per-instruction record list on :attr:`Cpu.trace`.  The
-    #: attestation hot paths (verifier replay, campaign workers) disable this
-    #: and stream records straight to the monitors, keeping only summary
-    #: counters in memory.
-    #: A collected trace needs every retired instruction as a record, so
-    #: such runs execute on the :meth:`Cpu.step` loop.
+    #: Keep the full per-instruction record list on :attr:`Cpu.trace`.
+    #: Without it the CPU keeps no trace at all: the records go only to the
+    #: attached monitors.  A collected trace needs every retired
+    #: instruction as a record, so such runs execute on the
+    #: :meth:`Cpu.step` loop.
     collect_trace: bool = False
     #: Execution engine: ``"compiled"`` (superblock trace compilation,
     #: :meth:`Cpu.run_compiled`) or ``"legacy"`` (the per-instruction
@@ -100,7 +93,9 @@ class CpuConfig:
 class ExecutionResult:
     """Everything produced by one program run."""
 
-    trace: ExecutionTrace
+    #: Every retired instruction when ``CpuConfig.collect_trace`` is set,
+    #: else None.
+    trace: Optional[ExecutionTrace]
     exit_code: int
     output: str
     instructions: int
@@ -129,7 +124,8 @@ class Cpu:
         self.registers = RegisterFile()
         self.memory = Memory()
         self.syscalls = SyscallHandler(inputs)
-        self.trace = ExecutionTrace() if self.config.collect_trace else StreamingTrace()
+        self.trace: Optional[ExecutionTrace] = (
+            ExecutionTrace() if self.config.collect_trace else None)
         self._decode_cache = DECODE_CACHE.get_or_build(program.digest, dict)
         self.pc = program.entry
         self.cycle = 0
@@ -144,9 +140,11 @@ class Cpu:
         #: monitor that only supports per-record delivery).
         self._batch_monitors: List[Optional[Callable]] = []
         #: Per-block observers (``observe_block(records, chunk, pairs)``)
-        #: used by the compiled engine to absorb a block's precomputed
-        #: hash chunk in one sponge update.
-        self._block_monitors: List[Optional[Callable]] = []
+        #: used by the compiled engine, one per batched observer: sessions
+        #: that hash the pair stream absorb a block's precomputed chunk in
+        #: one sponge update, the others get the records through
+        #: ``observe_batch``.
+        self._block_monitors: List[Callable] = []
         #: End-of-run hooks (``finish_run(instructions, cycle)``) used by the
         #: compiled engine to sync final counters to batch monitors.
         self._finish_monitors: List[Callable] = []
@@ -187,19 +185,24 @@ class Cpu:
     def attach_monitor(self, monitor: Monitor) -> None:
         """Attach a retired-instruction observer (e.g. the LO-FAT engine).
 
-        Monitors whose owner exposes ``observe_batch`` (every first-class
-        :class:`repro.schemes.base.MeasurementSession` and the LO-FAT engine)
-        can consume batches of control-flow records on the compiled engine;
+        Monitors whose owner exposes ``observe_batch`` (every
+        :class:`repro.schemes.base.MeasurementSession`, the LO-FAT engine and
+        :class:`repro.cpu.trace.ControlFlowTrace`) consume control-flow
+        records on the compiled engine, per block through the owner's
+        ``observe_block`` if it has one, else through ``observe_batch``;
         plain callables force the per-record :meth:`step` loop so they keep
         seeing every retired instruction.
         """
         self._monitors.append(monitor)
-        # A monitor is usually a bound ``observe`` method: resolve the batch
-        # entry point on the owning object, falling back to the callable
-        # itself (the LO-FAT engine is directly callable).
+        # A monitor is usually a bound ``observe`` method: resolve the
+        # batched entry points on the owning object.
         owner = getattr(monitor, "__self__", monitor)
-        self._batch_monitors.append(getattr(owner, "observe_batch", None))
-        self._block_monitors.append(getattr(owner, "observe_block", None))
+        batch = getattr(owner, "observe_batch", None)
+        self._batch_monitors.append(batch)
+        if batch is not None:
+            block = getattr(owner, "observe_block", None)
+            self._block_monitors.append(
+                block if block is not None else _records_only(batch))
         finish = getattr(owner, "finish_run", None)
         if finish is not None:
             self._finish_monitors.append(finish)
@@ -265,10 +268,10 @@ class Cpu:
         retirement deltas come back as compile-time constants; control-flow
         trace records are materialized per edge from the block's static
         templates so downstream traces and measurements stay byte-identical
-        to the :meth:`step` oracle.  Monitors exposing ``observe_block``
-        absorb each block's chain-internal jumps from one precomputed chunk;
-        the block terminator (and everything for batch-only monitors) is
-        delivered in ``observe_batch`` batches.
+        to the :meth:`step` oracle.  A block with chain-internal jumps goes
+        to each monitor's block entry (see :meth:`attach_monitor`) with its
+        precomputed chunk; a lone block terminator is delivered in
+        ``observe_batch`` batches.
 
         pc hooks (:meth:`add_pc_hook`) run on a per-run view of the plan in
         which every hook pc heads a block, so the trampoline fires them
@@ -290,7 +293,6 @@ class Cpu:
         compile_block_at = plan.compile_block_at
         batch_monitors = self._batch_monitors
         block_monitors = self._block_monitors
-        use_blocks = bool(block_monitors) and all(block_monitors)
         fuel = config.max_instructions
         flush_at = MONITOR_BATCH_SIZE
         make_record = TraceRecord
@@ -298,16 +300,11 @@ class Cpu:
         pc = self.pc
         cycle = self.cycle
         retired = self.retired
-        start_retired = retired
-        cf_events = 0
-        taken_cf_events = 0
-        by_kind: Dict[str, int] = {}
         batch: List[TraceRecord] = []
         x = self.registers._regs
         rf = self.registers
         load = self.memory.load
         store = self.memory.store
-        direct_jump_kind = BranchKind.DIRECT_JUMP.value
         buf = mv2 = mv4 = None
         if plan.uses_data_buffer:
             region = self.memory.region_buffer("data")
@@ -339,8 +336,7 @@ class Cpu:
                     if hooks:
                         entry = plan.split_block(entry, hooks, blocks)
                 (fn, size, templates, n_internal, term_cf, term_template,
-                 cf_total, static_chunk, static_pairs,
-                 kind_items) = entry.packed
+                 cf_total, static_chunk, static_pairs) = entry.packed
                 if retired + size > fuel:
                     # A whole-block step could cross the fuel limit;
                     # Cpu.step raises OutOfFuelError at the exact
@@ -363,18 +359,8 @@ class Cpu:
                 base_cycle = cycle
                 cycle += cdelta
                 retired += rdelta
-                # Streaming summary counters (the compiled engine never
-                # runs with a collected trace), then record delivery.
-                if cf_seen:
+                if cf_seen and block_monitors:
                     if cf_seen == cf_total:
-                        cf_events += cf_total
-                        taken_cf_events += n_internal + (
-                            1 if term_cf and taken else 0)
-                        for kind_name, count in kind_items:
-                            by_kind[kind_name] = by_kind.get(kind_name, 0) + count
-                        if not batch_monitors:
-                            pc = next_pc
-                            continue
                         if n_internal:
                             records = [
                                 make_record(
@@ -390,27 +376,19 @@ class Cpu:
                                     retired - 1, cycle, tpc, word,
                                     instruction, next_pc, kind, taken,
                                 ))
-                            if use_blocks:
-                                # Per-block absorb: flush any pending batch
-                                # first so the monitors see records in
-                                # stream order, then hand over the
-                                # precomputed chunk.
-                                if batch:
-                                    flush = batch
-                                    batch = []
-                                    for deliver in batch_monitors:
-                                        deliver(flush)
-                                for observe_block in block_monitors:
-                                    observe_block(
-                                        records, static_chunk, static_pairs)
-                            else:
-                                batch.extend(records)
-                                if len(batch) >= flush_at:
-                                    flush = batch
-                                    batch = []
-                                    for deliver in batch_monitors:
-                                        deliver(flush)
-                        elif term_cf:
+                            # Per-block delivery: flush any pending batch
+                            # first so the monitors see records in stream
+                            # order, then hand over the precomputed chunk.
+                            if batch:
+                                flush = batch
+                                batch = []
+                                for deliver in batch_monitors:
+                                    deliver(flush)
+                            for observe_block in block_monitors:
+                                observe_block(
+                                    records, static_chunk, static_pairs)
+                        else:
+                            # A lone (control-flow) terminator.
                             tpc, word, instruction, kind = term_template
                             batch.append(make_record(
                                 retired - 1, cycle, tpc, word, instruction,
@@ -426,25 +404,20 @@ class Cpu:
                                     deliver(flush)
                     else:
                         # Early ecall/ebreak halt: only the first cf_seen
-                        # internal jumps fired, all taken direct jumps.
-                        cf_events += cf_seen
-                        taken_cf_events += cf_seen
-                        by_kind[direct_jump_kind] = by_kind.get(
-                            direct_jump_kind, 0) + cf_seen
-                        if batch_monitors:
-                            batch.extend(
-                                make_record(
-                                    base_retired + roff, base_cycle + coff,
-                                    tpc, word, instruction, tnext, kind, True,
-                                )
-                                for roff, coff, tpc, word, instruction,
-                                tnext, kind in templates[:cf_seen]
+                        # internal jumps fired.
+                        batch.extend(
+                            make_record(
+                                base_retired + roff, base_cycle + coff,
+                                tpc, word, instruction, tnext, kind, True,
                             )
-                            if len(batch) >= flush_at:
-                                flush = batch
-                                batch = []
-                                for deliver in batch_monitors:
-                                    deliver(flush)
+                            for roff, coff, tpc, word, instruction,
+                            tnext, kind in templates[:cf_seen]
+                        )
+                        if len(batch) >= flush_at:
+                            flush = batch
+                            batch = []
+                            for deliver in batch_monitors:
+                                deliver(flush)
                 pc = next_pc
         finally:
             self.pc = pc
@@ -460,13 +433,6 @@ class Cpu:
             # straight-line tail of the compiled portion as well.
             for finish in self._finish_monitors:
                 finish(retired, cycle)
-            self.trace.absorb_counts(
-                instructions=retired - start_retired,
-                cycles=cycle,
-                control_flow_events=cf_events,
-                taken_control_flow_events=taken_cf_events,
-                by_kind=by_kind,
-            )
         if handoff:
             return self._finish_on_step(sync_pc, redirected)
         return self._result()
@@ -536,7 +502,8 @@ class Cpu:
             kind=kind,
             taken=taken if kind.is_control_flow else False,
         )
-        self.trace.append(record)
+        if self.trace is not None:
+            self.trace.append(record)
         self.retired += 1
         self.pc = next_pc
 
@@ -758,14 +725,18 @@ _EXECUTORS: Dict[str, Callable] = {
 DECODE_CACHE = DigestCache(budget=64)
 
 
+def _records_only(observe_batch: Callable) -> Callable:
+    """Block entry of a monitor without ``observe_block``: the block's
+    records go to its ``observe_batch``, the precomputed chunk is unused."""
+    def observe_block(records, chunk, pairs) -> None:
+        observe_batch(records)
+    return observe_block
+
+
 def run_program(
     program: Program,
     inputs: Optional[List[int]] = None,
     config: Optional[CpuConfig] = None,
-    monitors: Optional[List[Monitor]] = None,
 ) -> ExecutionResult:
-    """Convenience wrapper: build a :class:`Cpu`, attach monitors, run."""
-    cpu = Cpu(program, inputs=inputs, config=config)
-    for monitor in monitors or []:
-        cpu.attach_monitor(monitor)
-    return cpu.run()
+    """Convenience wrapper: build a :class:`Cpu` and run it."""
+    return Cpu(program, inputs=inputs, config=config).run()

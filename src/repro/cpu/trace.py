@@ -6,7 +6,13 @@ instruction (paper §4/§5.1).  :class:`TraceRecord` is the Python equivalent of
 those pipeline signals: one record per retired instruction, carrying the PC,
 the raw instruction word, the decoded instruction, the next PC and the branch
 outcome.  The records are produced by :class:`repro.cpu.core.Cpu` and consumed
-by :class:`repro.lofat.branch_filter.BranchFilter`.
+by the monitors attached to it, e.g.
+:class:`repro.lofat.branch_filter.BranchFilter`.
+
+The CPU keeps no statistics of its own beside those monitors.  A run with
+``CpuConfig.collect_trace`` keeps every record in an :class:`ExecutionTrace`
+(``Cpu.trace``); anything else that needs control-flow counts attaches a
+:class:`ControlFlowTrace` or reads a measurement session's ``stats``.
 """
 
 from __future__ import annotations
@@ -167,7 +173,8 @@ class ExecutionTrace:
 
 
 class TraceNotRecordedError(RuntimeError):
-    """Raised when per-record trace data is requested from a streaming trace."""
+    """Raised when per-instruction records are requested from a
+    :class:`ControlFlowTrace`, which keeps only control-flow records."""
 
 
 class ControlFlowTrace:
@@ -187,9 +194,8 @@ class ControlFlowTrace:
     compiled engine feeds it through :meth:`observe_batch`/:meth:`finish_run`,
     while the per-record step loop goes through :meth:`observe`.  The
     statistics surface mirrors :class:`ExecutionTrace` (``cycles``,
-    ``control_flow_events``, ``summary()``, ``len()``), so cost models work
-    on it unchanged; per-instruction record access raises
-    :class:`TraceNotRecordedError` like a streaming trace.
+    ``control_flow_events``, ``summary()``, ``len()``); per-instruction
+    record access raises :class:`TraceNotRecordedError`.
     """
 
     def __init__(
@@ -246,14 +252,6 @@ class ControlFlowTrace:
             last_cycle = records[-1].cycle
             if last_cycle > self._cycles:
                 self._cycles = last_cycle
-
-    def observe_block(self, records, chunk, pairs) -> None:
-        """Per-block capture hook (compiled engine).
-
-        A capture only needs the records themselves; the precomputed hash
-        chunk is for measurement sessions, so delegate to the batched hook.
-        """
-        self.observe_batch(records)
 
     def finish_run(self, instructions: int, cycle: int) -> None:
         """End-of-batch sync from the compiled engine (totals incl. the
@@ -338,112 +336,4 @@ class ControlFlowTrace:
             "control_flow_events": len(self._cf_records),
             "taken_control_flow_events": self.taken_control_flow_events,
             "by_kind": kinds,
-        }
-
-
-class StreamingTrace:
-    """Trace statistics without record accumulation.
-
-    A drop-in replacement for :class:`ExecutionTrace` on the statistics side
-    (``cycles``, ``control_flow_events``, ``summary()``, ``len()``) that keeps
-    only running counters: each :class:`TraceRecord` is observed, counted and
-    dropped.  This is what the attestation hot path uses -- LO-FAT itself
-    consumes the instruction stream as it retires, so neither the verifier's
-    golden replay nor the campaign workers need the O(instructions) record
-    list in memory.  Accessing per-record data raises
-    :class:`TraceNotRecordedError`.
-    """
-
-    def __init__(self) -> None:
-        self._instructions = 0
-        self._cycles = 0
-        self._control_flow_events = 0
-        self._taken_control_flow_events = 0
-        self._by_kind: Dict[str, int] = {}
-
-    def append(self, record: TraceRecord) -> None:
-        self._instructions += 1
-        self._cycles = record.cycle
-        if record.is_control_flow:
-            self._control_flow_events += 1
-            kind = record.kind.value
-            self._by_kind[kind] = self._by_kind.get(kind, 0) + 1
-            if record.taken:
-                self._taken_control_flow_events += 1
-
-    def absorb_counts(
-        self,
-        instructions: int,
-        cycles: int,
-        control_flow_events: int,
-        taken_control_flow_events: int,
-        by_kind: Dict[str, int],
-    ) -> None:
-        """Fold the summary counters of a compiled run into the trace.
-
-        The compiled engine (:meth:`repro.cpu.core.Cpu.run_compiled`) counts
-        retirements locally instead of materializing a :class:`TraceRecord`
-        per instruction; this absorbs those counters in one call so the
-        streaming trace reports the same summary as per-record appends.
-        ``cycles`` is the absolute cycle of the last retired instruction.
-        """
-        self._instructions += instructions
-        if cycles > self._cycles:
-            self._cycles = cycles
-        self._control_flow_events += control_flow_events
-        self._taken_control_flow_events += taken_control_flow_events
-        for kind, count in by_kind.items():
-            self._by_kind[kind] = self._by_kind.get(kind, 0) + count
-
-    def __len__(self) -> int:
-        return self._instructions
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        raise TraceNotRecordedError(
-            "trace records were not kept (CpuConfig.collect_trace=False); "
-            "only summary statistics are available on a streaming trace"
-        )
-
-    def __getitem__(self, index):
-        raise TraceNotRecordedError(
-            "trace records were not kept (CpuConfig.collect_trace=False)"
-        )
-
-    @property
-    def records(self) -> List[TraceRecord]:
-        raise TraceNotRecordedError(
-            "trace records were not kept (CpuConfig.collect_trace=False)"
-        )
-
-    @property
-    def control_flow_records(self) -> List[TraceRecord]:
-        raise TraceNotRecordedError(
-            "trace records were not kept (CpuConfig.collect_trace=False)"
-        )
-
-    @property
-    def executed_edges(self) -> List[tuple]:
-        raise TraceNotRecordedError(
-            "trace records were not kept (CpuConfig.collect_trace=False)"
-        )
-
-    @property
-    def control_flow_events(self) -> int:
-        return self._control_flow_events
-
-    @property
-    def taken_control_flow_events(self) -> int:
-        return self._taken_control_flow_events
-
-    @property
-    def cycles(self) -> int:
-        return self._cycles
-
-    def summary(self) -> dict:
-        return {
-            "instructions": self._instructions,
-            "cycles": self._cycles,
-            "control_flow_events": self._control_flow_events,
-            "taken_control_flow_events": self._taken_control_flow_events,
-            "by_kind": dict(self._by_kind),
         }

@@ -189,9 +189,6 @@ class LoFatEngine:
         stats = self.branch_filter.stats
         stats.instructions_observed = max(stats.instructions_observed, instructions)
 
-    # Allow the engine object itself to be used as the monitor callback.
-    __call__ = observe
-
     # ------------------------------------------------------------ results
     def finalize(self) -> SchemeMeasurement:
         """Close the attested execution and produce ``(A, L)``.

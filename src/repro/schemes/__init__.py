@@ -35,7 +35,6 @@ from repro.schemes.base import (
     AttestationScheme,
     MeasurementSession,
     SchemeConfigError,
-    SchemeCost,
     SchemeError,
     SchemeMeasurement,
     VerdictReason,
@@ -62,7 +61,6 @@ __all__ = [
     "AttestationScheme",
     "MeasurementSession",
     "SchemeConfigError",
-    "SchemeCost",
     "SchemeError",
     "SchemeMeasurement",
     "VerdictReason",

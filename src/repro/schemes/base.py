@@ -14,14 +14,14 @@ The contract (see ``docs/SCHEMES.md`` for the how-to-add-a-backend guide):
 * ``name`` -- the registry name carried in challenges and reports.
 * ``configure(params)`` -- validated, scheme-specific configuration object.
 * ``open_session(program, config)`` -- a fresh measurement session; its
-  ``observe`` hook is attached as a CPU monitor.
+  ``observe`` hook is attached as a CPU monitor, and its ``stats`` carry
+  the cost of attesting (``processor_stall_cycles``: zero for LO-FAT and
+  static attestation, the per-event trampolines for C-FLAT).
 * ``verify(report, expected)`` -- compare a report against the expected
   ``(A, serialized L)`` reference.
 * ``replay_measurement(program, trace, config)`` -- the verify-many half of
   the capture-once pipeline: measure a stored control-flow trace through a
   fresh session, no CPU in the loop, byte-identical to live execution.
-* ``cost_model(trace, config)`` -- the scheme's runtime cost applied to an
-  execution (the E1/E11 overhead comparisons).
 
 Verdict types (:class:`VerdictReason`, :class:`VerificationResult`) live here
 so schemes can return them without importing the verifier.  The one
@@ -82,26 +82,6 @@ class VerificationResult:
         return self.accepted
 
 
-@dataclass(frozen=True)
-class SchemeCost:
-    """Runtime cost of attesting one execution under a scheme."""
-
-    scheme: str
-    baseline_cycles: int
-    attested_cycles: int
-    control_flow_events: int = 0
-
-    @property
-    def overhead_cycles(self) -> int:
-        return self.attested_cycles - self.baseline_cycles
-
-    @property
-    def overhead_ratio(self) -> float:
-        if self.baseline_cycles == 0:
-            return 0.0
-        return self.overhead_cycles / self.baseline_cycles
-
-
 class MeasurementSession(abc.ABC):
     """One attested execution in progress.
 
@@ -110,15 +90,16 @@ class MeasurementSession(abc.ABC):
     retires -- so memory stays flat regardless of execution length -- and is
     closed with :meth:`finalize`, which must be idempotent.
 
-    Sessions may additionally implement ``observe_batch(records)``, which
-    receives batches of *control-flow* records only (in retirement order).
-    When every attached monitor provides it, the CPU runs the compiled
-    engine (:meth:`repro.cpu.core.Cpu.run_compiled`) and never
-    materializes records for straight-line instructions; a batch
-    implementation must therefore produce the same measurement from the
-    control-flow stream alone.  All three first-class schemes do.  Sessions
-    without the hook run on the per-record :meth:`repro.cpu.core.Cpu.step`
-    loop and continue to see every retired instruction.
+    :meth:`observe_batch` receives batches of *control-flow* records only
+    (in retirement order): the compiled engine
+    (:meth:`repro.cpu.core.Cpu.run_compiled`) and stored-trace replay
+    deliver through it and never materialize records for straight-line
+    instructions, so it must produce the same measurement from the
+    control-flow stream alone.  A session may also implement
+    ``observe_block(records, chunk, pairs)`` to absorb a compiled block's
+    precomputed (Src, Dest) chunk in one update (C-FLAT and the LO-FAT
+    engine do); without it the compiled engine hands every block's records
+    to :meth:`observe_batch`.
 
     Concurrency contract: a session belongs to exactly one execution and
     one thread/task -- it is never shared or reused across executions
@@ -134,6 +115,10 @@ class MeasurementSession(abc.ABC):
         """Observe one retired :class:`repro.cpu.trace.TraceRecord`."""
 
     @abc.abstractmethod
+    def observe_batch(self, records) -> None:
+        """Observe a batch of control-flow records, in retirement order."""
+
+    @abc.abstractmethod
     def finalize(self) -> SchemeMeasurement:
         """Close the session and return the measurement (idempotent)."""
 
@@ -145,24 +130,6 @@ class MeasurementSession(abc.ABC):
         cannot recover from control-flow records alone.  The default does
         nothing; sessions tracking per-instruction counters override it.
         """
-
-    def observe_block(self, records, chunk, pairs) -> None:
-        """Per-block delivery from the compiled engine (optional override).
-
-        ``records[:len(pairs)]`` are a compiled block's chain-internal
-        forward jumps; ``chunk`` is their precomputed little-endian
-        (Src, Dest) byte serialization and ``pairs`` the matching masked
-        address pairs.  Any trailing records carry the block terminator.
-        The default ignores the precomputed bytes and delegates to
-        ``observe_batch`` (the measurement is defined over the records
-        alone); sessions that hash the pair stream override this to absorb
-        ``chunk`` in one update.
-        """
-        self.observe_batch(records)  # type: ignore[attr-defined]
-
-    # Allow the session object itself to be used as the monitor callback.
-    def __call__(self, record) -> None:
-        self.observe(record)
 
 
 class AttestationScheme(abc.ABC):
@@ -247,11 +214,7 @@ class AttestationScheme(abc.ABC):
         return result, session.finalize()
 
     def replay_measurement(
-        self,
-        program,
-        trace,
-        config=None,
-        batch_size: int = MONITOR_BATCH_SIZE,
+        self, program, trace, config=None,
     ) -> SchemeMeasurement:
         """Measure a stored trace through a fresh session -- no CPU in the loop.
 
@@ -265,29 +228,19 @@ class AttestationScheme(abc.ABC):
         performs live, so the measurement ``A``, the metadata ``L`` and the
         session statistics are byte-identical to live execution.
 
-        Raises :class:`SchemeError` for a session without batched
-        observation (per-record replay of a control-flow-only trace would
-        miss the straight-line instructions its loop tracking needs) and for
-        a capture marked non-replayable (a pc hook redirected
-        control flow mid-run, breaking the straight-line continuity batched
-        observation reconstructs).
+        Raises :class:`SchemeError` for a capture marked non-replayable (a
+        pc hook redirected control flow mid-run, breaking the straight-line
+        continuity batched observation reconstructs).
         """
         session = self.open_session(program, config)
-        observe_batch = getattr(session, "observe_batch", None)
-        if observe_batch is None:
-            raise SchemeError(
-                "%s session does not support batched observation; a "
-                "control-flow trace cannot be replayed through it" % self.name
-            )
         if not getattr(trace, "replayable", True):
             raise SchemeError(
                 "trace is not replayable (a pc hook redirected "
                 "control flow during capture); re-attest live instead"
             )
         records = trace.control_flow_records
-        step = max(1, batch_size)
-        for start in range(0, len(records), step):
-            observe_batch(records[start:start + step])
+        for start in range(0, len(records), MONITOR_BATCH_SIZE):
+            session.observe_batch(records[start:start + MONITOR_BATCH_SIZE])
         session.finish_run(len(trace), trace.cycles)
         return session.finalize()
 
@@ -335,17 +288,6 @@ class AttestationScheme(abc.ABC):
                 "reported metadata does not match the %s reference" % self.name,
             )
         return VerificationResult(True, VerdictReason.ACCEPTED)
-
-    # -------------------------------------------------------------- cost
-    @abc.abstractmethod
-    def cost_model(self, trace, config=None) -> SchemeCost:
-        """The scheme's runtime cost for one execution.
-
-        ``trace`` is an :class:`repro.cpu.trace.ExecutionTrace` or
-        :class:`repro.cpu.trace.StreamingTrace` -- only the summary counters
-        (``cycles``, ``control_flow_events``) are consulted, so streamed
-        executions work too.
-        """
 
     # ------------------------------------------------------------ reporting
     def describe(self) -> dict:

@@ -13,8 +13,9 @@ parallel hardware.
 This module carries both halves of the reproduction's C-FLAT model:
 
 * the cost model (:class:`CFlatCostModel`, applied to an execution by
-  :meth:`CFlatScheme.cost_model`) --
-  ``attested_cycles = baseline_cycles + events * per_event_cycles``;
+  :meth:`CFlatSession.finalize`, whose ``stats`` carry it) --
+  ``attested_cycles = baseline_cycles + events * per_event_cycles``, less
+  the ``loop_event_discount`` on backward (loop) events;
 * the first-class measuring scheme (:class:`CFlatSession`,
   :class:`CFlatScheme`) that can be driven by a challenge, verified against
   the measurement database and swept in a campaign.  The session computes,
@@ -34,12 +35,11 @@ import hashlib
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from repro.cpu.trace import ExecutionTrace, TraceNotRecordedError
+from repro.cpu.trace import ExecutionTrace
 from repro.schemes.base import (
     AttestationScheme,
     MeasurementSession,
     SchemeConfigError,
-    SchemeCost,
     SchemeMeasurement,
 )
 from repro.schemes.registry import register_scheme
@@ -230,23 +230,3 @@ class CFlatScheme(AttestationScheme):
 
     def open_session(self, program, config=None) -> CFlatSession:
         return CFlatSession(config)
-
-    def cost_model(self, trace, config=None) -> SchemeCost:
-        model = config if isinstance(config, CFlatCostModel) else self.configure(config)
-        events = trace.control_flow_events
-        # The loop-event discount needs per-record data; on a streaming
-        # trace (records dropped) fall back to the conservative zero, which
-        # charges every event in full.
-        try:
-            loop_events = sum(
-                1 for record in trace.control_flow_records if record.is_backward
-            )
-        except TraceNotRecordedError:
-            loop_events = 0
-        overhead = model.overhead_cycles(events, loop_events=loop_events)
-        return SchemeCost(
-            scheme=self.name,
-            baseline_cycles=trace.cycles,
-            attested_cycles=trace.cycles + overhead,
-            control_flow_events=events,
-        )

@@ -3,8 +3,8 @@
 :class:`repro.lofat.engine.LoFatEngine` -- the paper's hardware model --
 already speaks the session protocol, so :meth:`LoFatScheme.open_session`
 returns a fresh engine and the CPU feeds it directly.  Because the engine
-observes the pipeline in parallel, the cost model adds **zero** processor
-cycles; that is the paper's central performance claim and what E1/E11
+observes the pipeline in parallel, its ``processor_stall_cycles`` stat is
+**zero**; that is the paper's central performance claim and what E1/E11
 compare against C-FLAT.
 """
 
@@ -18,7 +18,6 @@ from repro.schemes.base import (
     AttestationScheme,
     MeasurementSession,
     SchemeConfigError,
-    SchemeCost,
 )
 from repro.schemes.registry import register_scheme
 
@@ -48,13 +47,3 @@ class LoFatScheme(AttestationScheme):
 
     def open_session(self, program, config=None) -> LoFatEngine:
         return LoFatEngine(config)
-
-    def cost_model(self, trace, config=None) -> SchemeCost:
-        # The engine is a monitor on the retired-instruction stream: the
-        # core's cycle count is identical with and without it.
-        return SchemeCost(
-            scheme=self.name,
-            baseline_cycles=trace.cycles,
-            attested_cycles=trace.cycles,
-            control_flow_events=trace.control_flow_events,
-        )

@@ -24,7 +24,6 @@ from repro.schemes.base import (
     AttestationScheme,
     MeasurementSession,
     SchemeConfigError,
-    SchemeCost,
     SchemeMeasurement,
 )
 from repro.schemes.registry import register_scheme
@@ -108,13 +107,3 @@ class StaticScheme(AttestationScheme):
         # The image hash does not depend on inputs or execution: measure
         # directly instead of replaying the program.
         return StaticSession(program).finalize()
-
-    def cost_model(self, trace, config=None) -> SchemeCost:
-        # Measured once at load time; the attested execution itself runs at
-        # native speed.
-        return SchemeCost(
-            scheme=self.name,
-            baseline_cycles=trace.cycles,
-            attested_cycles=trace.cycles,
-            control_flow_events=trace.control_flow_events,
-        )

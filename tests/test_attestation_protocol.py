@@ -64,13 +64,6 @@ class TestChallengeRoundTrip:
         assert restored == challenge
         assert restored.to_bytes() == blob
 
-    @settings(max_examples=30, deadline=None)
-    @given(program_id=_program_ids, inputs=_inputs, nonce=_nonces,
-           scheme=_schemes)
-    def test_json_roundtrip(self, program_id, inputs, nonce, scheme):
-        challenge = AttestationChallenge(program_id, inputs, nonce, scheme)
-        assert AttestationChallenge.from_json(challenge.to_json()) == challenge
-
     def test_long_nonce_survives_roundtrip(self):
         """Regression: the 1-byte length field used to truncate nonces >= 256
         bytes silently; the field is now 2 bytes wide."""
@@ -160,11 +153,6 @@ class TestReportRoundTrip:
     def test_negative_exit_code_roundtrip(self):
         report = self._report(exit_code=-1)
         assert AttestationReport.from_bytes(report.to_bytes()).exit_code == -1
-
-    def test_json_roundtrip(self):
-        report = self._report()
-        restored = AttestationReport.from_json(report.to_json())
-        assert restored.to_bytes() == report.to_bytes()
 
     def test_malformed_metadata_raises_valueerror_not_indexerror(self):
         """A well-framed report whose metadata block is internally truncated

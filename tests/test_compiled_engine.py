@@ -15,6 +15,7 @@ import pytest
 from repro.cpu import compile as compile_mod
 from repro.cpu.compile import COMPILE_CACHE, CompiledProgramCache
 from repro.cpu.core import Cpu, CpuConfig
+from repro.cpu.trace import ControlFlowTrace
 from repro.workloads import get_workload
 
 
@@ -58,15 +59,18 @@ class TestPlanReuse:
         assert cache.plan_for(program, _config()) is plan
         assert cache.compiles == 1
 
-        cpu = Cpu(program, inputs=list(workload.inputs), config=_config())
-        result = cpu.run()
-        assert cpu.engine_used == "compiled"
-        legacy = Cpu(program, inputs=list(workload.inputs),
-                     config=_config(engine="legacy")).run()
-        assert (result.registers, result.cycles, result.output,
-                result.trace.summary()) == (
-                    legacy.registers, legacy.cycles, legacy.output,
-                    legacy.trace.summary())
+        def run(engine):
+            cpu = Cpu(program, inputs=list(workload.inputs),
+                      config=_config(engine=engine))
+            capture = ControlFlowTrace()
+            cpu.attach_monitor(capture.observe)
+            result = cpu.run()
+            return cpu.engine_used, (result.registers, result.cycles,
+                                     result.output, capture.summary())
+
+        engine_used, compiled = run("compiled")
+        assert engine_used == "compiled"
+        assert compiled == run("legacy")[1]
 
     def test_distinct_digests_get_distinct_plans(self, cache):
         loop = get_workload("figure4_loop").build()

@@ -1,28 +1,30 @@
 """Regression tests for the CPU hot-path optimisations.
 
-The decoded-instruction cache, the executor dispatch table and the streaming
-trace mode are pure performance work: they must not change a single observable
-bit.  These tests pin that down by comparing, for every seed workload, a run
-on a cold decode cache against a warm rerun, and the streamed execution
-against the collected one -- trace records, cycle accounting, outputs, and
-the attestation measurement ``(A, L)``.
+The decoded-instruction cache, the executor dispatch table and streaming
+records to the monitors without collecting a trace are pure performance
+work: they must not change a single observable bit.  These tests pin that
+down by comparing, for every seed workload, a run on a cold decode cache
+against a warm rerun, and the streamed execution against the collected one
+-- trace records, cycle accounting, outputs, and the attestation
+measurement ``(A, L)``.
 """
 
 import pytest
 
 from repro.cache import DigestCache
 from repro.cpu.core import DECODE_CACHE, Cpu, CpuConfig
-from repro.cpu.trace import StreamingTrace, TraceNotRecordedError
+from repro.cpu.trace import ControlFlowTrace
 from repro.schemes import get_scheme
 from repro.workloads import all_workloads
 
 WORKLOAD_NAMES = [workload.name for workload in all_workloads()]
 
 
-def _attest(program, inputs, collect_trace):
+def _attest(program, inputs, collect_trace, hooks=()):
     """One LO-FAT-attested run, its trace collected or streamed."""
     return get_scheme("lofat").measure_execution(
-        program, inputs, cpu_config=CpuConfig(collect_trace=collect_trace))
+        program, inputs, cpu_config=CpuConfig(collect_trace=collect_trace),
+        hooks=hooks)
 
 
 def _run(program, inputs):
@@ -67,25 +69,31 @@ def test_streaming_trace_measurement_identical(name):
     workload = next(w for w in all_workloads() if w.name == name)
     program = workload.build()
     collected_result, collected = _attest(program, workload.inputs, collect_trace=True)
-    streamed_result, streamed = _attest(program, workload.inputs, collect_trace=False)
+    capture = ControlFlowTrace()
+    streamed_result, streamed = _attest(
+        program, workload.inputs, collect_trace=False,
+        hooks=[lambda cpu: cpu.attach_monitor(capture.observe)])
 
     assert streamed.measurement == collected.measurement
     assert streamed.metadata.to_bytes() == collected.metadata.to_bytes()
-    # Summary statistics survive streaming; the record list does not.
-    assert isinstance(streamed_result.trace, StreamingTrace)
-    assert streamed_result.trace.summary() == collected_result.trace.summary()
+    # An attached capture counts what the collected trace counts.
+    assert capture.summary() == collected_result.trace.summary()
     assert streamed_result.cycles == collected_result.cycles
 
 
-def test_streaming_trace_refuses_record_access():
+@pytest.mark.parametrize("engine", ["legacy", "compiled"])
+def test_run_without_collect_trace_keeps_no_trace(engine):
+    """Without ``collect_trace`` the CPU keeps no trace of its own: the
+    records go only to the attached monitors."""
     workload = all_workloads()[0]
-    result, _ = _attest(workload.build(), workload.inputs, collect_trace=False)
-    with pytest.raises(TraceNotRecordedError):
-        list(result.trace)
-    with pytest.raises(TraceNotRecordedError):
-        result.trace.records
-    with pytest.raises(TraceNotRecordedError):
-        result.trace.executed_edges
+    cpu = Cpu(workload.build(), inputs=list(workload.inputs),
+              config=CpuConfig(engine=engine))
+    result = cpu.run()
+    assert cpu.trace is None
+    assert result.trace is None
+    attested, _ = _attest(workload.build(), workload.inputs,
+                          collect_trace=False)
+    assert attested.trace is None
 
 
 def _decoded(program):

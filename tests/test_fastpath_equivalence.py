@@ -17,6 +17,7 @@ import pytest
 from repro.attacks.injector import ControlFlowRedirect, MemoryCorruption
 from repro.attestation import Prover, Verifier
 from repro.cpu.core import Cpu, CpuConfig
+from repro.cpu.trace import ControlFlowTrace
 from repro.isa.assembler import assemble
 from repro.schemes import get_scheme, scheme_names
 from repro.workloads import get_workload
@@ -117,6 +118,30 @@ class TestStepFallback:
         assert cpu.engine_used == "legacy"
         assert len(seen) == result.instructions  # every retirement observed
 
+    def test_observe_only_monitor_forces_step_loop(self):
+        """A monitor object without ``observe_batch`` runs on Cpu.step even
+        when it has a block hook, and it is the run's only observer: the
+        CPU keeps no trace of its own."""
+
+        class ObserveOnly:
+            def __init__(self):
+                self.records = []
+
+            def observe(self, record):
+                self.records.append(record)
+
+            def observe_block(self, records, chunk, pairs):
+                raise AssertionError("block delivery without observe_batch")
+
+        workload = get_workload("figure4_loop")
+        monitor = ObserveOnly()
+        cpu = Cpu(workload.build(), inputs=list(workload.inputs))
+        cpu.attach_monitor(monitor.observe)
+        result = cpu.run()
+        assert cpu.engine_used == "legacy"
+        assert len(monitor.records) == result.instructions
+        assert result.trace is None
+
     def test_legacy_engine_matches_default(self):
         workload = get_workload("figure4_loop")
         program = workload.build()
@@ -212,8 +237,6 @@ class TestCompiledEquivalence:
         """Per-block delivery matches plain ``observe_batch`` delivery on
         *every* stat, including the cycle-model bookkeeping excluded from
         the oracle comparison."""
-        from repro.cpu.trace import ControlFlowTrace
-
         workload = get_workload(workload_name)
         program = workload.build()
         scheme = get_scheme("lofat")
@@ -369,6 +392,8 @@ def _probe_run(scheme_name, inputs, engine, max_instructions=2_000_000):
                                max_instructions=max_instructions))
     session = get_scheme(scheme_name).open_session(program)
     cpu.attach_monitor(session.observe)
+    capture = ControlFlowTrace()
+    cpu.attach_monitor(capture.observe)
     try:
         result = cpu.run()
     except Exception as error:  # compared against the oracle's exception
@@ -376,7 +401,7 @@ def _probe_run(scheme_name, inputs, engine, max_instructions=2_000_000):
     measured = session.finalize()
     return cpu.engine_used, (
         result.registers, result.cycles, result.output,
-        result.trace.summary(), measured.measurement,
+        capture.summary(), measured.measurement,
         measured.metadata.to_bytes())
 
 
@@ -459,6 +484,8 @@ def _hooked_run(program, inputs, make_hooks, engine,
     sessions = [get_scheme(name).open_session(program) for name in SCHEMES]
     for session in sessions:
         cpu.attach_monitor(session.observe)
+    capture = ControlFlowTrace()
+    cpu.attach_monitor(capture.observe)
     hooks = make_hooks()
     for hook in hooks:
         hook.install(cpu)
@@ -472,7 +499,7 @@ def _hooked_run(program, inputs, make_hooks, engine,
         [(measured.measurement, measured.metadata.to_bytes())
          for measured in measurements],
         result.output, result.exit_code, result.instructions, result.cycles,
-        result.registers, result.trace.summary(),
+        result.registers, capture.summary(),
         [hook.fired for hook in hooks])
 
 

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.attestation import Prover, Verifier
-from repro.cpu.core import Cpu
+from repro.cpu.core import Cpu, CpuConfig
+from repro.cpu.trace import ControlFlowTrace
 from repro.isa.assembler import assemble
 from repro.lofat.engine import LoFatEngine
 from repro.lofat.metadata import LoopMetadata
@@ -11,12 +12,13 @@ from repro.schemes import get_scheme
 from repro.workloads import get_workload
 
 
-def attest(workload_name, inputs=None, config=None):
+def attest(workload_name, inputs=None, config=None, hooks=()):
     workload = get_workload(workload_name)
     return get_scheme("lofat").measure_execution(
         workload.build(),
         workload.inputs if inputs is None else inputs,
         config=config,
+        hooks=hooks,
     )
 
 
@@ -85,11 +87,14 @@ class TestEngineInvariants:
         "fibonacci", "matmul", "binary_search", "string_ops", "fir_filter",
     ])
     def test_every_event_hashed_or_compressed(self, workload_name):
-        result, measurement = attest(workload_name)
+        capture = ControlFlowTrace()
+        _, measurement = attest(
+            workload_name,
+            hooks=[lambda cpu: cpu.attach_monitor(capture.observe)])
         stats = measurement.stats
         assert (stats["pairs_hashed"] + stats["pairs_compressed"]
                 == stats["control_flow_events"])
-        assert stats["control_flow_events"] == result.trace.control_flow_events
+        assert stats["control_flow_events"] == capture.control_flow_events
 
     @pytest.mark.parametrize("workload_name", [
         "figure4_loop", "bubble_sort", "crc32", "syringe_pump", "dispatcher",
@@ -139,22 +144,14 @@ class TestEngineLifecycle:
     def test_observe_after_finalize_rejected(self):
         workload = get_workload("auth_check")
         program = workload.build()
-        cpu = Cpu(program, inputs=list(workload.inputs))
+        cpu = Cpu(program, inputs=list(workload.inputs),
+                  config=CpuConfig(collect_trace=True))
         engine = LoFatEngine()
         cpu.attach_monitor(engine.observe)
         result = cpu.run()
         engine.finalize()
         with pytest.raises(RuntimeError):
             engine.observe(result.trace[0])
-
-    def test_engine_is_callable_as_monitor(self):
-        workload = get_workload("auth_check")
-        program = workload.build()
-        cpu = Cpu(program, inputs=list(workload.inputs))
-        engine = LoFatEngine()
-        cpu.attach_monitor(engine)          # __call__ alias
-        cpu.run()
-        assert engine.finalize().stats["control_flow_events"] > 0
 
     def test_statistics_structure(self):
         _, measurement = attest("figure4_loop")

@@ -14,6 +14,7 @@ on higher-level invariants of the LO-FAT pipeline:
 from hypothesis import given, settings, strategies as st
 
 from repro.cpu.core import Cpu
+from repro.cpu.trace import ControlFlowTrace
 from repro.isa.assembler import assemble
 from repro.lofat.config import LoFatConfig
 from repro.lofat.loop_counter_memory import LoopCounterMemory
@@ -22,6 +23,14 @@ from repro.lofat.target_cam import TargetCam
 from repro.schemes import get_scheme
 from repro.workloads import get_workload
 from repro.workloads.generator import SyntheticWorkloadGenerator
+
+
+def _lofat_with_capture(program, inputs):
+    """LO-FAT-measure ``program`` with a control-flow capture attached."""
+    capture = ControlFlowTrace()
+    _, measurement = get_scheme("lofat").measure_execution(
+        program, inputs, hooks=[lambda cpu: cpu.attach_monitor(capture.observe)])
+    return capture, measurement
 
 # ----------------------------------------------------------------- encoder
 
@@ -193,10 +202,10 @@ class TestMeasurementProperties:
         """hashed pairs + compressed pairs == control-flow events, always."""
         workload = get_workload("figure4_loop")
         program = workload.build()
-        result, measurement = get_scheme("lofat").measure_execution(program, [iterations])
+        capture, measurement = _lofat_with_capture(program, [iterations])
         stats = measurement.stats
         assert (stats["pairs_hashed"] + stats["pairs_compressed"]
-                == result.trace.control_flow_events)
+                == capture.control_flow_events)
 
     @given(iterations=st.integers(min_value=1, max_value=30))
     @settings(max_examples=20, deadline=None)
@@ -244,10 +253,10 @@ class TestSyntheticGeneratorProperties:
             seed=seed,
         )
         program = assemble(generator.source())
-        result, measurement = get_scheme("lofat").measure_execution(program, [])
+        capture, measurement = _lofat_with_capture(program, [])
         stats = measurement.stats
         assert (stats["pairs_hashed"] + stats["pairs_compressed"]
-                == result.trace.control_flow_events)
+                == capture.control_flow_events)
         assert stats["hash_engine"]["dropped_pairs"] == 0
         for loop in measurement.metadata:
             assert sum(p.iterations for p in loop.paths) == loop.iterations

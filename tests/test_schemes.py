@@ -8,7 +8,7 @@ from repro.attestation import Prover, Verifier
 from repro.attestation.protocol import AttestationChallenge
 from repro.schemes.cflat import CFlatCostModel, measure_trace
 from repro.service.database import MeasurementDatabase
-from repro.cpu.core import CpuConfig
+from repro.cpu.core import Cpu, CpuConfig
 from repro.lofat.engine import LoFatEngine
 from repro.schemes import (
     SCHEME_REGISTRY,
@@ -45,7 +45,6 @@ class TestRegistry:
             name = "dup"
             def configure(self, params=None): return None
             def open_session(self, program, config=None): raise NotImplementedError
-            def cost_model(self, trace, config=None): raise NotImplementedError
 
         class Second(First):
             pass
@@ -63,7 +62,6 @@ class TestRegistry:
         class Nameless(AttestationScheme):
             def configure(self, params=None): return None
             def open_session(self, program, config=None): raise NotImplementedError
-            def cost_model(self, trace, config=None): raise NotImplementedError
 
         with pytest.raises(Exception, match="declares no name"):
             registry.register(Nameless)
@@ -181,27 +179,28 @@ class TestSessions:
 
 
 class TestCostModels:
+    """The cost of attesting is the session's ``stats``, for every scheme."""
+
     def test_parallel_schemes_add_zero_cycles(self):
-        _, result, _ = _measure("lofat")
+        workload = get_workload("figure4_loop")
+        plain = Cpu(workload.build(), inputs=list(workload.inputs)).run()
         for name in ("lofat", "static"):
-            cost = get_scheme(name).cost_model(result.trace)
-            assert cost.overhead_cycles == 0
-            assert cost.overhead_ratio == 0.0
+            _, result, measured = _measure(name)
+            assert measured.stats["processor_stall_cycles"] == 0
+            assert result.cycles == plain.cycles
 
     def test_cflat_cost_linear_in_events(self):
-        _, few, _ = _measure("cflat", inputs=[2])
-        _, many, _ = _measure("cflat", inputs=[40])
-        scheme = get_scheme("cflat")
-        cost_few = scheme.cost_model(few.trace)
-        cost_many = scheme.cost_model(many.trace)
-        assert cost_many.overhead_cycles > cost_few.overhead_cycles > 0
+        _, few, cost_few = _measure("cflat", inputs=[2])
+        _, many, cost_many = _measure("cflat", inputs=[40])
+        stall_few = cost_few.stats["processor_stall_cycles"]
+        stall_many = cost_many.stats["processor_stall_cycles"]
+        assert stall_many > stall_few > 0
         per_event = CFlatCostModel().per_event_cycles
-        assert cost_few.overhead_cycles == \
-               few.trace.control_flow_events * per_event
+        assert stall_few == few.trace.control_flow_events * per_event
+        assert cost_few.stats["attested_cycles"] == few.cycles + stall_few
 
     def test_cflat_loop_event_discount_takes_effect(self):
-        """The discount knob must change the reported cost, both in the
-        streaming session and in the trace-level cost model."""
+        """The discount knob must change the cost the session reports."""
         scheme = get_scheme("cflat")
         workload = get_workload("figure4_loop")
         program = workload.build()
@@ -215,9 +214,31 @@ class TestCostModels:
         assert discounted.stats["overhead_cycles"] < \
                full.stats["overhead_cycles"]
 
-        cost_full = scheme.cost_model(result.trace)
-        cost_discounted = scheme.cost_model(result.trace, discounted_config)
-        assert cost_discounted.overhead_cycles < cost_full.overhead_cycles
+    def test_cflat_discounted_cost_is_engine_independent(self):
+        """At ``loop_event_discount=0.5`` the session charges the same
+        overhead on both engines, and it is the cost model applied to the
+        backward (loop) events of a collected trace -- the session's stats
+        are the one home of C-FLAT's cost."""
+        scheme = get_scheme("cflat")
+        model = scheme.configure({"loop_event_discount": 0.5})
+        workload = get_workload("figure4_loop")
+        program = workload.build()
+        overhead = {}
+        for engine in ("compiled", "legacy"):
+            _, measured = scheme.measure_execution(
+                program, workload.inputs, config=model,
+                cpu_config=CpuConfig(engine=engine))
+            overhead[engine] = measured.stats["overhead_cycles"]
+        assert overhead["compiled"] == overhead["legacy"]
+
+        trace = Cpu(program, inputs=list(workload.inputs),
+                    config=CpuConfig(collect_trace=True)).run().trace
+        loop_events = sum(
+            1 for record in trace.control_flow_records if record.is_backward)
+        assert loop_events > 0
+        assert overhead["compiled"] == model.overhead_cycles(
+            trace.control_flow_events, loop_events=loop_events)
+        assert not hasattr(scheme, "cost_model")
 
 
 @pytest.fixture

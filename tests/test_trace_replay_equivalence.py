@@ -95,9 +95,14 @@ class TestSchemeLevelEquivalence:
         scheme = get_scheme("lofat")
         program, inputs, _, trace = capture_execution("syringe_pump")
         reference = scheme.replay_measurement(program, trace)
+        records = trace.control_flow_records
         for batch_size in (1, 7, 1024):
-            other = scheme.replay_measurement(
-                program, trace, batch_size=batch_size)
+            session = scheme.open_session(program)
+            for start in range(0, len(records), batch_size):
+                session.observe_batch(records[start:start + batch_size])
+            session.finish_run(len(trace), trace.cycles)
+            other = session.finalize()
+            assert other.stats == reference.stats
             assert other.measurement == reference.measurement
             assert other.metadata.to_bytes() == reference.metadata.to_bytes()
 

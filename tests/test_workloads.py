@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cpu.core import run_program
+from repro.cpu.core import Cpu, run_program
+from repro.cpu.trace import ControlFlowTrace
 from repro.workloads import all_workloads, get_workload, WORKLOAD_REGISTRY
 from repro.workloads.crc import reference_crc
 from repro.workloads.generator import SyntheticWorkloadGenerator, density_sweep
@@ -126,11 +127,14 @@ class TestSyntheticGenerator:
     def test_branch_density_scales_with_filler(self):
         dense_wl = SyntheticWorkloadGenerator(filler_per_branch=0, iterations=10).workload()
         sparse_wl = SyntheticWorkloadGenerator(filler_per_branch=8, iterations=10).workload()
-        dense = run_program(dense_wl.build())
-        sparse = run_program(sparse_wl.build())
-        dense_density = dense.trace.control_flow_events / dense.instructions
-        sparse_density = sparse.trace.control_flow_events / sparse.instructions
-        assert dense_density > sparse_density
+        def density(workload):
+            cpu = Cpu(workload.build())
+            capture = ControlFlowTrace()
+            cpu.attach_monitor(capture.observe)
+            result = cpu.run()
+            return capture.control_flow_events / result.instructions
+
+        assert density(dense_wl) > density(sparse_wl)
 
     def test_density_sweep_helper(self):
         workloads = density_sweep([0, 4], iterations=5)
